@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -59,7 +58,6 @@ class RunConfig:
     mu_support: frozenset | None = None
     suites: list = field(default_factory=list)
     fmt: str = "text"
-    jobs: int = 1
 
     def validate(self):
         if self.perversity and self.family not in (None, "ic"):
@@ -373,21 +371,10 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
         else None
     )
     t0 = time.perf_counter()
-    results = []
-    if cfg.jobs > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futs = {
-                n: pool.submit(run_suite, n, progress, args.checkpoint)
-                for n in names
-            }
-        results = [futs[n].result() for n in names]  # canonical order
-    else:
-        results = [
-            run_suite(n, progress=progress, checkpoint=args.checkpoint)
-            for n in names
-        ]
+    results = [
+        run_suite(n, progress=progress, checkpoint=args.checkpoint)
+        for n in names
+    ]
     passed = all(r.passed for r in results)
     doc = {
         "command": "verify",
@@ -486,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list registered suites")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     return top
 
 
@@ -514,8 +500,6 @@ def main(argv=None) -> int:
                     out.write(f"{name}\t{SUITES[name][1]}\n")
                 return EXIT_OK
             cfg.suites = list(args.suites)
-            jobs = os.environ.get("WEYLCOH_JOBS")
-            cfg.jobs = int(jobs) if jobs else args.jobs
             return cmd_verify(args, cfg, out)
         if args.command == "roots":
             return cmd_roots(cfg, out)

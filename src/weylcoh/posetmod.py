@@ -19,11 +19,11 @@ degrees by adding l(w).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 
 from . import snf
-from .snf import mat_mul, mat_neg, zero_matrix
+from .snf import mat_mul, zero_matrix
 
 Face = frozenset
 
@@ -74,10 +74,6 @@ class GradedAbelian:
     @property
     def is_zero(self) -> bool:
         return not self.data
-
-    @property
-    def has_torsion(self) -> bool:
-        return any(tors for _, _, tors in self.data)
 
     def degrees(self) -> list[int]:
         return [d for d, _, _ in self.data]
@@ -532,42 +528,13 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
 
 def _in_basis(vec, basis_vectors) -> list[int]:
     """Coordinates of an integer vector in a given integral basis."""
-    if not basis_vectors:
-        if any(vec):
-            raise AssertionError("vector outside subcomplex basis span")
-        return []
-    from fractions import Fraction
-
-    n = len(vec)
-    cols = list(basis_vectors)
-    aug = [[Fraction(c[i]) for c in cols] + [Fraction(vec[i])] for i in range(n)]
-    m = len(cols)
-    r = 0
-    pivots = []
-    for col in range(m):
-        piv = next((i for i in range(r, n) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    coords = [0] * m
-    for i, col in enumerate(pivots):
-        x = aug[i][m]
-        if x.denominator != 1:
-            raise AssertionError("non-integral coordinates in subcomplex basis")
-        coords[col] = int(x)
-    # consistency: rows beyond the pivots must have zero right-hand side
-    for i in range(r, n):
-        if aug[i][m]:
-            raise AssertionError("vector outside subcomplex basis span")
-    return coords
+    cols = [[c[i] for c in basis_vectors] for i in range(len(vec))]
+    coords = snf.solve(cols, [[x] for x in vec])
+    if coords is None:
+        raise AssertionError("vector outside subcomplex basis span")
+    if any(c.denominator != 1 for (c,) in coords):
+        raise AssertionError("non-integral coordinates in subcomplex basis")
+    return [int(c) for (c,) in coords]
 
 
 def ic_module(index_set, cutoffs: dict, order=None) -> PosetModule:

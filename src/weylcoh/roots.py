@@ -12,11 +12,12 @@ the simple roots outside its Levi subset.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
+
+from .snf import solve
 
 Vec = tuple[Fraction, ...]
 
@@ -248,9 +249,6 @@ class RootSystem:
 
     # -- basic linear algebra over the root span --------------------------
 
-    def inner(self, u: Vec, v: Vec) -> Fraction:
-        return _dot(u, v)
-
     def simple_coords(self, v: Vec) -> Vec:
         """Coefficients of the root-span part of v in the simple basis."""
         rhs = tuple(_dot(v, a) for a in self.simple_roots)
@@ -282,11 +280,9 @@ class RootSystem:
         if not basis:
             return tuple(Fraction(0) for _ in range(self.ambient_dim))
         gram = tuple(tuple(_dot(a, b) for b in basis) for a in basis)
-        inv = _invert(gram)
-        rhs = tuple(_dot(v, a) for a in basis)
+        coeffs = solve(gram, [[_dot(v, a)] for a in basis])
         out = tuple(Fraction(0) for _ in range(self.ambient_dim))
-        for i, a in enumerate(basis):
-            c = sum((inv[i][j] * rhs[j] for j in range(len(basis))), Fraction(0))
+        for (c,), a in zip(coeffs, basis):
             out = _vec_add(out, _vec_scale(c, a))
         return out
 
@@ -332,21 +328,7 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
 
 def _invert(mat) -> tuple[tuple[Fraction, ...], ...]:
     n = len(mat)
-    aug = [
-        [Fraction(x) for x in row]
-        + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return solve(mat, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -516,14 +498,6 @@ def codim_and_perversity(P: Parabolic, kind: str) -> tuple[int, int]:
     raise ValueError(f"unknown perversity kind {kind!r}")
 
 
-def perversity_value(kind: str, codim: int) -> int:
-    if kind == "m":
-        return (codim - 2) // 2
-    if kind == "n":
-        return (codim - 1) // 2
-    raise ValueError(f"unknown perversity kind {kind!r}")
-
-
 def is_min_coset_rep(w: WeylElement, P: Parabolic) -> bool:
     """True iff w^-1 maps every Levi simple root of P to a positive root."""
     inv = w.inverse()
@@ -630,54 +604,3 @@ def longest_levi_element(system: RootSystem, levi: frozenset[int]) -> WeylElemen
             return w
         v = system.reflect(v, system.simple_roots[i])
         w = system.simple_reflection(i) * w
-
-
-def weyl_order_of_levi(system: RootSystem, levi: frozenset[int]) -> int:
-    """Order of the Levi Weyl group, via connected components of the subset."""
-    remaining = set(levi)
-    order = 1
-    while remaining:
-        comp = {remaining.pop()}
-        grew = True
-        while grew:
-            grew = False
-            for i in list(remaining):
-                if any(system.cartan[i][j] != 0 for j in comp):
-                    comp.add(i)
-                    remaining.discard(i)
-                    grew = True
-        order *= _component_weyl_order(system, comp)
-    return order
-
-
-def _component_weyl_order(system: RootSystem, comp: set[int]) -> int:
-    rank = len(comp)
-    count = 0
-    for coords in system.positive_coords:
-        support = {i for i, c in enumerate(coords) if c}
-        if support <= comp:
-            count += 1
-    if count == rank * (rank + 1) // 2 and _is_simply_laced(system, comp):
-        return _factorial(rank + 1)
-    if count == rank * rank:
-        return 2**rank * _factorial(rank)
-    if count == rank * (rank - 1):
-        return 2 ** (rank - 1) * _factorial(rank)
-    if rank == 2 and count == 6:
-        return 12
-    if rank == 4 and count == 24:
-        return 1152
-    if (rank, count) == (6, 36):
-        return 51840
-    if (rank, count) == (7, 63):
-        return 2903040
-    if (rank, count) == (8, 120):
-        return 696729600
-    raise AssertionError(f"unrecognized Levi component {sorted(comp)}")
-
-
-def _is_simply_laced(system: RootSystem, comp: set[int]) -> bool:
-    return all(
-        system.cartan[i][j] * system.cartan[j][i] <= 1
-        for i, j in itertools.combinations(comp, 2)
-    )

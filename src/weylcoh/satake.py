@@ -35,6 +35,7 @@ from .roots import (
     RootSystem,
     Vec,
     _dot,
+    _vec_add,
     _vec_sub,
     factorize,
     longest_levi_element,
@@ -112,10 +113,6 @@ def p_dagger(datum: SatakeDatum, P: Parabolic) -> Parabolic:
         if k2 == kappa and len(levi) > len(best):
             best = levi
     return parabolic(datum.system, best)
-
-
-def omega(datum: SatakeDatum, psi) -> frozenset:
-    return p_dagger(datum, parabolic(datum.system, psi)).levi
 
 
 def is_saturated(datum: SatakeDatum, P: Parabolic) -> bool:
@@ -361,7 +358,7 @@ def pairing_shift(c: KostantClass, alpha0: int):
     sys = c.system
     bigger = parabolic(sys, c.P.levi | {alpha0})
     _, w_up = factorize(c.w, c.P, bigger)
-    mu_up = _vec_sub(w_up.apply(_vec_add_rho(sys, c.lam)), sys.rho)
+    mu_up = _vec_sub(w_up.apply(_vec_add(c.lam, sys.rho)), sys.rho)
     parent = KostantClass(
         P=bigger, w=w_up, lam=c.lam, mu=mu_up, degree=w_up.length()
     )
@@ -371,7 +368,3 @@ def pairing_shift(c: KostantClass, alpha0: int):
         if i != alpha0
     }
     return parent, comparisons
-
-
-def _vec_add_rho(sys: RootSystem, lam: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(lam, sys.rho))

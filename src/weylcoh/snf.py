@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Matrix = Sequence[Sequence[int]]
 
@@ -38,68 +38,86 @@ def mat_add(a: Matrix, b: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_neg(a: Matrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def qq_rank(mat: Matrix) -> int:
-    """Rank over the rationals by fraction-free Gaussian elimination."""
-    rows = [list(map(Fraction, row)) for row in mat]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for i in range(rank + 1, nrows):
-            f = rows[i][col] * inv
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-        rank += 1
-        col += 1
-    return rank
+def echelon(mat: Iterable[Sequence]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968).
 
-
-def kernel_basis(mat: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational null space {v : mat @ v = 0} (column vectors)."""
-    nrows, ncols = shape(mat)
-    rows = [list(map(Fraction, row)) for row in mat]
+    Entries may be int or Fraction; each row is first scaled to integers by
+    the lcm of its denominators.  Returns (rows, pivots, d) with
+    rows == d * RREF(mat) as integer rows, pivots the pivot columns in
+    order, and d the last pivot (1 when there is none).  Every division in
+    the elimination is exact.
+    """
+    rows = []
+    for row in mat:
+        # a set, not one argument per entry: argument tuples as long as a
+        # row fill the interpreter's tuple free lists and raise peak memory
+        den = math.lcm(*{x.denominator for x in row})
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
+    d = 1
     for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         piv = next((i for i in range(r, nrows) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
-        inv = 1 / prow[col]
-        rows[r] = [x * inv for x in prow]
+        p = prow[col]
         for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][col]
+            if i != r and (f or p != d):
+                rows[i] = [(p * x - f * y) // d for x, y in zip(rows[i], prow)]
         pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+        d = p
+    return rows, pivots, d
+
+
+def qq_rank(mat: Matrix) -> int:
+    """Rank over the rationals by fraction-free elimination."""
+    return len(echelon(mat)[1])
+
+
+def kernel_basis(mat: Matrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the rational null space {v : mat @ v = 0} (column vectors).
+
+    One vector per free column: 1 there, 0 at the other free columns.
+    """
+    ncols = shape(mat)[1]
+    rows, pivots, d = echelon(mat)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], d)
         basis.append(tuple(v))
     return basis
+
+
+def solve(a: Matrix, b: Matrix) -> tuple[tuple[Fraction, ...], ...] | None:
+    """The X with a @ X == b, or None when b lies outside the column span of a.
+
+    X is unique when a has full column rank; otherwise the unknowns at free
+    columns are set to 0.
+    """
+    n = shape(a)[1]
+    rows, pivots, d = echelon([*ra, *rb] for ra, rb in zip(a, b))
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [(Fraction(0),) * (len(rows[0]) - n)] * n if rows else []
+    for row, pc in zip(rows, pivots):
+        x[pc] = tuple(Fraction(v, d) for v in row[n:])
+    return tuple(x)
 
 
 def column_span_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
@@ -169,10 +187,4 @@ def snf_divisors(mat: Matrix) -> list[int]:
             continue
         divisors.append(d)
         top += 1
-    # repair the divisibility chain if the greedy pass missed it
-    for i in range(len(divisors) - 1):
-        for j in range(i + 1, len(divisors)):
-            g = math.gcd(divisors[i], divisors[j])
-            l = divisors[i] * divisors[j] // g
-            divisors[i], divisors[j] = g, l
     return divisors

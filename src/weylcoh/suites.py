@@ -19,20 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .kostant import (
-    bracketing_parabolics,
-    is_self_contragredient,
-    kostant_decomposition,
-)
+from .kostant import is_self_contragredient, kostant_decomposition
 from .microsupport import (
     RealFormOracle,
     classify_fundamental,
-    essential_micro_support,
     global_degree_bounds,
     micro_support,
 )
 from .posetmod import (
-    Face,
     fary_E1_page,
     fary_abutment_ranks,
     ic_module,
@@ -352,8 +346,7 @@ def _sp20_root_tables():
     return rest, masks, roots
 
 
-def _sp20_face_data():
-    sys, P, _ = _sp20_element()
+def _sp20_face_data(P):
     rest, masks, roots = _sp20_root_tables()
     faces = [f for f in subsets(range(4)) if f != frozenset(range(4))]
     pvals = {}
@@ -366,7 +359,7 @@ def _sp20_face_data():
     facemat = [
         [0 if m <= f else 1 for m in masks] for f in faces
     ]
-    return sys, P, rest, masks, roots, faces, pvals, facemat
+    return rest, masks, roots, faces, pvals, facemat
 
 
 def _sp20_window_of(w):
@@ -434,8 +427,7 @@ def _suite_footnote_exhaustive(rec: _Recorder, progress=None, checkpoint=None):
     import numpy as np
 
     sys, P, w = _sp20_element()
-    rest, masks, roots, faces = None, None, None, None
-    sys2, P2, rest, masks, roots, faces, pvals, facemat = _sp20_face_data()
+    rest, masks, roots, faces, pvals, facemat = _sp20_face_data(P)
 
     # spot-validate the window arithmetic against the engine first
     rng = random.Random(20260823)
@@ -450,13 +442,13 @@ def _suite_footnote_exhaustive(rec: _Recorder, progress=None, checkpoint=None):
         sample_windows.append(tuple(kw))
     mismatches = 0
     for kw in sample_windows:
-        elt = _sp20_element_from_window(sys2, kw)
-        if not is_min_coset_rep(elt, P2):
+        elt = _sp20_element_from_window(sys, kw)
+        if not is_min_coset_rep(elt, P):
             mismatches += 1
             continue
         fast = _sp20_cutoffs_from_window(kw, roots, faces, pvals, facemat)
         for kind in ("m", "n"):
-            engine = ic_cutoffs(P2, elt, kind)
+            engine = ic_cutoffs(P, elt, kind)
             engine = {
                 frozenset(rest.index(i) for i in a): v
                 for a, v in engine.items()
@@ -464,11 +456,11 @@ def _suite_footnote_exhaustive(rec: _Recorder, progress=None, checkpoint=None):
             if engine != fast[kind]:
                 mismatches += 1
             mod, marks = ic_module_with_marks(
-                P2.restricted_indices, ic_cutoffs(P2, elt, kind)
+                P.restricted_indices, ic_cutoffs(P, elt, kind)
             )
             cx, _ = local_complex(mod, frozenset())
             direct = (
-                _is_first_config_marks(marks, P2.restricted_indices)
+                _is_first_config_marks(marks, P.restricted_indices)
                 and str(cx.cohomology()) == "Z[-1] + Z[-2]"
             )
             if direct != _first_config_from_cutoffs(fast[kind], range(4)):

@@ -37,6 +37,7 @@ from .roots import (
     factorize,
     parabolic,
 )
+from .snf import solve
 
 FAMILIES = ("pushforward", "ic", "wc")
 PROFILES = ("mu", "nu")
@@ -50,10 +51,6 @@ def face_parabolic(P: Parabolic, a: Face) -> Parabolic:
     return parabolic(P.system, P.levi | a)
 
 
-def thread_index_set(P: Parabolic) -> tuple[int, ...]:
-    return P.restricted_indices
-
-
 def ic_cutoffs(P: Parabolic, w: WeylElement, kind: str) -> dict[Face, int]:
     """Shifted-perversity cutoff p(Q) - l_Q(w) for every proper face."""
     out = {}
@@ -64,25 +61,6 @@ def ic_cutoffs(P: Parabolic, w: WeylElement, kind: str) -> dict[Face, int]:
         _, p = codim_and_perversity(Q, kind)
         out[a] = p - bidegree(w, Q)
     return out
-
-
-def _gram_solve(vectors: list[Vec], v: Vec) -> list[Fraction]:
-    """Coordinates of the orthogonal projection of v onto span(vectors)."""
-    n = len(vectors)
-    aug = [
-        [_dot(vectors[i], vectors[j]) for j in range(n)] + [_dot(vectors[i], v)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def restricted_coords(system: RootSystem, levi: frozenset, v: Vec) -> dict[int, Fraction]:
@@ -100,8 +78,9 @@ def restricted_coords(system: RootSystem, levi: frozenset, v: Vec) -> dict[int, 
         )
         for i in idx
     ]
-    coords = _gram_solve(basis, v)
-    return dict(zip(idx, coords))
+    gram = [[_dot(a, b) for b in basis] for a in basis]
+    coords = solve(gram, [[_dot(a, v)] for a in basis])
+    return {i: c for i, (c,) in zip(idx, coords)}
 
 
 def wc_keep(

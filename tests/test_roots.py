@@ -90,6 +90,19 @@ def test_reduced_word_roundtrip(word):
     assert sys.from_word(red) == w
 
 
+@pytest.mark.parametrize("typ,rank", [("A", 3), ("B", 3), ("C", 4)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_inverse_is_reversed_word(typ, rank, data):
+    # simple reflections are involutions, so w^-1 is the reversed word
+    sys = build_root_system(typ, rank)
+    word = data.draw(st.lists(st.integers(0, rank - 1), max_size=12))
+    w = sys.from_word(word)
+    inv = w.inverse()
+    assert w * inv == sys.identity_element() == inv * w
+    assert inv == sys.from_word(reversed(word))
+
+
 @given(words_c3, st.sets(st.integers(0, 2), max_size=2))
 @settings(max_examples=120, deadline=None)
 def test_factorize_lengths_add(word, levi):

@@ -1,5 +1,10 @@
-"""Exact linear algebra: ranks, kernels, and elementary divisors."""
+"""Exact linear algebra: ranks, kernels, solves, and elementary divisors.
 
+The oracles are brute force: determinants by cofactor expansion and the
+k x k minors of every row and column choice.
+"""
+
+import itertools
 import math
 
 from hypothesis import given, settings
@@ -25,14 +30,57 @@ def test_qq_rank_basics():
     assert snf.qq_rank(()) == 0
 
 
-small_matrices = st.lists(
-    st.lists(st.integers(-5, 5), min_size=3, max_size=3),
-    min_size=3,
-    max_size=3,
-).map(lambda rows: tuple(tuple(r) for r in rows))
+def _matrices(entries, square=False):
+    """Matrices up to 5x5 with the given entries, as tuples of rows."""
+    dims = st.tuples(st.integers(1, 5), st.integers(1, 5))
+    if square:
+        dims = st.integers(1, 5).map(lambda n: (n, n))
+    return dims.flatmap(
+        lambda rc: st.lists(
+            st.lists(entries, min_size=rc[1], max_size=rc[1]),
+            min_size=rc[0],
+            max_size=rc[0],
+        )
+    ).map(lambda rows: tuple(tuple(r) for r in rows))
 
 
-@given(small_matrices)
+small_ints = st.integers(-5, 5)
+small_rationals = st.one_of(
+    small_ints, st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+int_matrices = _matrices(small_ints)
+square_int_matrices = _matrices(small_ints, square=True)
+qq_matrices = _matrices(small_rationals)
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, x in enumerate(m[0])
+        if x
+    )
+
+
+def _minors(mat, k):
+    cols = range(len(mat[0]))
+    return [
+        _det([[mat[i][j] for j in cs] for i in rs])
+        for rs in itertools.combinations(range(len(mat)), k)
+        for cs in itertools.combinations(cols, k)
+    ]
+
+
+def _rank(mat):
+    """Size of the largest nonzero minor."""
+    k = min(len(mat), len(mat[0]))
+    while k and not any(_minors(mat, k)):
+        k -= 1
+    return k
+
+
+@given(int_matrices)
 @settings(max_examples=150, deadline=None)
 def test_divisor_chain_and_rank(mat):
     divs = snf.snf_divisors(mat)
@@ -42,33 +90,79 @@ def test_divisor_chain_and_rank(mat):
         assert b % a == 0
 
 
-@given(small_matrices)
+@given(int_matrices)
+@settings(max_examples=150, deadline=None)
+def test_divisors_are_determinantal_divisors(mat):
+    # d_k = g_k / g_(k-1), g_k the gcd of the k x k minors (g_0 = 1)
+    g = [1]
+    for k in range(1, _rank(mat) + 1):
+        g.append(math.gcd(*_minors(mat, k)))
+    assert snf.snf_divisors(mat) == [b // a for a, b in zip(g, g[1:])]
+
+
+@given(square_int_matrices)
 @settings(max_examples=150, deadline=None)
 def test_divisor_product_is_determinant(mat):
-    det = round(_det3(mat))
+    det = _det(mat)
     divs = snf.snf_divisors(mat)
     if det:
         assert math.prod(divs) == abs(det)
     else:
-        assert len(divs) < 3
+        assert len(divs) < len(mat)
 
 
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+@given(qq_matrices)
+@settings(max_examples=150, deadline=None)
+def test_qq_rank_is_largest_nonzero_minor(mat):
+    assert snf.qq_rank(mat) == _rank(mat)
 
 
-@given(small_matrices)
-@settings(max_examples=100, deadline=None)
+@given(qq_matrices)
+@settings(max_examples=150, deadline=None)
+def test_echelon_is_scaled_rref(mat):
+    rows, pivots, d = snf.echelon(mat)
+    r = len(pivots)
+    assert d != 0 and r == _rank(mat)
+    assert all(isinstance(x, int) for row in rows for x in row)
+    assert not any(x for row in rows[r:] for x in row)
+    for i, row in enumerate(rows[:r]):
+        assert [row[pc] for pc in pivots] == [d * (i == j) for j in range(r)]
+        assert not any(row[:pivots[i]])
+    # same row space: stacking the echelon rows adds no rank
+    assert _rank(list(mat) + rows[:r]) == r
+
+
+@given(qq_matrices)
+@settings(max_examples=150, deadline=None)
 def test_kernel_basis_annihilates(mat):
+    ncols = len(mat[0])
     basis = snf.kernel_basis(mat)
-    assert len(basis) == 3 - snf.qq_rank(mat)
+    assert len(basis) == ncols - _rank(mat)
     for v in basis:
         for row in mat:
             assert sum(x * y for x, y in zip(row, v)) == 0
+    if basis:
+        assert _rank(basis) == len(basis)
+
+
+@given(qq_matrices, st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_exact_or_none(a, nb, data):
+    b = data.draw(
+        st.lists(
+            st.lists(small_rationals, min_size=nb, max_size=nb),
+            min_size=len(a),
+            max_size=len(a),
+        )
+    )
+    x = snf.solve(a, b)
+    inconsistent = _rank([ra + tuple(rb) for ra, rb in zip(a, b)]) > _rank(a)
+    assert (x is None) == inconsistent
+    if x is not None:
+        assert len(x) == len(a[0])
+        for ra, rb in zip(a, b):
+            got = [sum(p * q[k] for p, q in zip(ra, x)) for k in range(nb)]
+            assert got == rb
 
 
 def test_column_span_rank():
