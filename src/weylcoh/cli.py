@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from .kostant import is_self_contragredient, kostant_decomposition
 from .microsupport import micro_support
 from .posetmod import ic_module, local_complex, subsets
 from .roots import (
+    InvalidTypeError,
     build_root_system,
     codim_and_perversity,
     dim_nilradical,
@@ -279,10 +281,10 @@ def cmd_simplex(args, cfg: RunConfig, out) -> int:
     if args.cut:
         for tok in args.cut.split(","):
             tok = tok.strip()
-            verts = set()
-            for piece in tok.replace("α", "a").split("a"):
-                if piece:
-                    verts.add(int(piece) - 1)
+            pieces = [p for p in tok.replace("α", "a").split("a") if p]
+            if not all(p.isdigit() for p in pieces):
+                raise UsageError(f"bad face token {tok!r}")
+            verts = {int(p) - 1 for p in pieces}
             if not verts or not all(0 <= i < n for i in verts):
                 raise UsageError(f"bad face token {tok!r}")
             marked.add(frozenset(verts))
@@ -323,6 +325,10 @@ def cmd_simplex(args, cfg: RunConfig, out) -> int:
 def cmd_satake(cfg: RunConfig, out) -> int:
     system = build_root_system(cfg.cartan_type, cfg.rank)
     if cfg.mu_support is None:
+        if system.cartan_type != "C":
+            raise UsageError(
+                "the default weight support needs type C; give --mu-support"
+            )
         datum = baily_borel(system)
     else:
         datum = SatakeDatum(system, cfg.mu_support)
@@ -365,6 +371,12 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
     for n in names:
         if n not in SUITES:
             raise UnknownSuiteError(n)
+    if args.checkpoint and os.path.exists(args.checkpoint):
+        try:
+            with open(args.checkpoint) as fh:
+                json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"unreadable checkpoint {args.checkpoint!r}: {exc}")
     progress = (
         (lambda s: print(s, file=sys.stderr, flush=True))
         if args.progress
@@ -486,7 +498,7 @@ def main(argv=None) -> int:
             cfg.rank = args.rank
         if getattr(args, "levi", None):
             cfg.levi = _parse_indices(args.levi, cfg.rank)
-        if getattr(args, "lam", None):
+        if getattr(args, "lam", None) is not None:
             cfg.lam = _parse_lambda(args.lam, cfg.rank)
         if getattr(args, "mu_support", None):
             cfg.mu_support = _parse_indices(args.mu_support, cfg.rank)
@@ -512,7 +524,7 @@ def main(argv=None) -> int:
         if args.command == "satake":
             return cmd_satake(cfg, out)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, UnknownSuiteError, ValueError) as exc:
+    except (UsageError, UnknownSuiteError, InvalidTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

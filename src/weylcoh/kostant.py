@@ -11,7 +11,7 @@ where a thread can carry supported cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,11 +20,10 @@ from .roots import (
     RootSystem,
     Vec,
     WeylElement,
-    _dot,
-    _vec_add,
-    _vec_sub,
     bidegree,
     enumerate_min_coset_reps,
+    levi_part,
+    levi_split,
     longest_levi_element,
     parabolic,
 )
@@ -32,12 +31,16 @@ from .roots import (
 
 @dataclass(frozen=True)
 class KostantClass:
-    """One isotypical summand of the nilradical cohomology of P."""
+    """One isotypical summand of the nilradical cohomology of P.
+
+    lam and wlr = w(lambda+rho) are in simple-root coordinates; mu, xi and
+    mu_semisimple are ambient vectors, for output.
+    """
 
     P: Parabolic
     w: WeylElement
     lam: Vec
-    mu: Vec
+    wlr: Vec
     degree: int
 
     @property
@@ -45,14 +48,30 @@ class KostantClass:
         return self.P.system
 
     @property
+    def mu_coords(self) -> Vec:
+        """Simple-root coordinates of mu = w(lambda+rho) - rho."""
+        return tuple(a - r for a, r in zip(self.wlr, self.system.rho))
+
+    @property
+    def mu(self) -> Vec:
+        """mu = w(lambda+rho) - rho as an ambient vector."""
+        return self.system.from_simple_coords(self.mu_coords)
+
+    @property
     def xi(self) -> Vec:
         """Central character: projection of mu off the Levi root span."""
-        return _vec_sub(self.mu, self.system.levi_projection(self.mu, self.P.levi))
+        mu = self.mu_coords
+        semi = levi_part(self.system, self.P.levi, mu)
+        return self.system.from_simple_coords(
+            tuple(a - b for a, b in zip(mu, semi))
+        )
 
     @property
     def mu_semisimple(self) -> Vec:
         """Projection of mu onto the Levi root span."""
-        return self.system.levi_projection(self.mu, self.P.levi)
+        return self.system.from_simple_coords(
+            levi_part(self.system, self.P.levi, self.mu_coords)
+        )
 
     def pairing(self, i: int) -> Fraction:
         """Inner product of the torus part of w(lambda+rho) with simple root i.
@@ -63,10 +82,12 @@ class KostantClass:
         """
         if i in self.P.levi:
             raise ValueError(f"root {i} lies in the Levi of {self.P}")
-        sys = self.system
-        target = _vec_add(self.mu, sys.rho)
-        proj = _vec_sub(target, sys.levi_projection(target, self.P.levi))
-        return _dot(proj, sys.simple_roots[i])
+        _, s = levi_split(self.system, self.P.levi)
+        rest = self.P.restricted_indices
+        row = s[rest.index(i)]
+        return sum(
+            (x * self.wlr[j] for x, j in zip(row, rest)), Fraction(0)
+        )
 
     def pairings(self) -> dict[int, Fraction]:
         return {i: self.pairing(i) for i in self.P.restricted_indices}
@@ -92,6 +113,14 @@ class KostantClass:
         )
 
 
+def kostant_class(P: Parabolic, w: WeylElement, lam) -> KostantClass:
+    """The class of w for the highest weight lam (simple-root coordinates)."""
+    lam_rho = tuple(a + r for a, r in zip(lam, P.system.rho))
+    return KostantClass(
+        P=P, w=w, lam=lam, wlr=w.apply_coords(lam_rho), degree=w.length()
+    )
+
+
 def kostant_decomposition(lam_coords, P: Parabolic) -> list[KostantClass]:
     """All isotypical summands for highest weight lam and parabolic P.
 
@@ -106,12 +135,7 @@ def kostant_decomposition(lam_coords, P: Parabolic) -> list[KostantClass]:
     if any(c != int(c) or c < 0 for c in coords):
         raise ValueError(f"highest weight must be dominant integral: {coords}")
     lam = sys.weight_from_fundamental(coords)
-    lam_rho = _vec_add(lam, sys.rho)
-    out = []
-    for w in enumerate_min_coset_reps(P):
-        mu = _vec_sub(w.apply(lam_rho), sys.rho)
-        out.append(KostantClass(P=P, w=w, lam=lam, mu=mu, degree=w.length()))
-    return out
+    return [kostant_class(P, w, lam) for w in enumerate_min_coset_reps(P)]
 
 
 @lru_cache(maxsize=None)
@@ -119,18 +143,26 @@ def _longest_levi(system: RootSystem, levi: frozenset) -> WeylElement:
     return longest_levi_element(system, levi)
 
 
+def levi_self_dual(system: RootSystem, levi: frozenset, mu) -> bool:
+    """Whether the opposition involution of the Levi fixes mu's Levi part.
+
+    mu is in simple-root coordinates.  True iff minus the longest element
+    of the Levi Weyl group fixes the projection of mu onto the Levi root
+    span; a zero projection passes vacuously.
+    """
+    part = levi_part(system, levi, mu)
+    if all(x == 0 for x in part):
+        return True
+    w0 = _longest_levi(system, levi)
+    return tuple(-x for x in w0.apply_coords(part)) == part
+
+
 def is_self_contragredient(c: KostantClass) -> bool:
     """Split-form self-duality test on the semisimple part of mu.
 
-    True iff the opposition involution of the Levi fixes the projection of
-    mu onto the Levi root span.  Minimal parabolics pass vacuously.
+    Minimal parabolics pass vacuously.
     """
-    mss = c.mu_semisimple
-    if all(x == 0 for x in mss):
-        return True
-    w0 = _longest_levi(c.system, c.P.levi)
-    neg = tuple(-x for x in w0.apply(mss))
-    return neg == tuple(mss)
+    return levi_self_dual(c.system, c.P.levi, c.mu_coords)
 
 
 def bracketing_parabolics(c: KostantClass) -> tuple[Parabolic, Parabolic]:

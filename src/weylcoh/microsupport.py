@@ -31,10 +31,10 @@ from .roots import (
     Parabolic,
     RootSystem,
     Vec,
-    _dot,
     dim_nilradical,
     parabolic,
 )
+from .snf import qq_rank
 from .threads import FAMILIES, build_thread
 
 
@@ -205,21 +205,18 @@ class RealFormOracle:
         return len(P.levi_positive_indices()) + len(P.levi)
 
     def dimDV(self, P: Parabolic, mu: Vec) -> int:
+        """dim D_P(V) for the weight mu, given in simple-root coordinates."""
         if self.preset != "split":
             raise ValueError(f"no dimension data for preset {self.preset!r}")
         sys = P.system
         perp = [
-            i
+            sys.positive_roots[i]
             for i in P.levi_positive_indices()
-            if _dot(sys.positive_roots[i], mu) == 0
+            if sys.form(sys.positive_roots[i], mu) == 0
         ]
         if not perp:
             return 0
-        span = [sys.positive_roots[i] for i in perp]
-        from . import snf
-
-        rank = snf.qq_rank([list(v) for v in span])
-        return len(perp) + rank
+        return len(perp) + qq_rank(perp)
 
 
 def global_degree_bounds(
@@ -233,7 +230,7 @@ def global_degree_bounds(
     lo, hi = inf, -inf
     for e in entries:
         dd = oracle.dimD(e.P)
-        dv = oracle.dimDV(e.P, e.cls.mu)
+        dv = oracle.dimDV(e.P, e.cls.mu_coords)
         lo = min(lo, Fraction(dd - dv, 2) + e.c)
         hi = max(hi, Fraction(dd + dv, 2) + e.d)
     return lo, hi

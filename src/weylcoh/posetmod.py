@@ -575,8 +575,6 @@ def attaching_map_rank(
     The sub-poset below a1 includes into the one below a2; the induced map on
     base-face local cohomology is computed over the rationals.
     """
-    from fractions import Fraction
-
     a1, a2 = Face(a1), Face(a2)
     if not a1 <= a2:
         raise ValueError("first face is not below the second")
@@ -589,25 +587,18 @@ def attaching_map_rank(
         pos2 = {lbl: i for i, lbl in enumerate(b2.get(deg, []))}
         n2 = c2.rank(deg)
         # cocycles of the source complex
-        cocycles = snf.kernel_basis(c1.diff(deg))
-        if c1.rank(deg) and snf.shape(c1.diff(deg))[0] == 0:
-            cocycles = [
-                tuple(
-                    Fraction(1) if i == j else Fraction(0)
-                    for i in range(c1.rank(deg))
-                )
-                for j in range(c1.rank(deg))
-            ]
+        cocycles = snf.kernel_basis(c1.diff(deg), ncols=c1.rank(deg))
         images = []
         for vec in cocycles:
-            img = [Fraction(0)] * n2
+            img = [0] * n2
             for j, lbl in enumerate(b1.get(deg, [])):
                 img[pos2[lbl]] = vec[j]
             images.append(tuple(img))
-        boundaries = [
-            tuple(Fraction(x) for x in col)
-            for col in zip(*c2.diff(deg - 1))
-        ] if c2.rank(deg - 1) and c2.rank(deg) else []
+        boundaries = (
+            list(zip(*c2.diff(deg - 1)))
+            if c2.rank(deg - 1) and c2.rank(deg)
+            else []
+        )
         base = snf.column_span_rank(boundaries)
         total = snf.column_span_rank(boundaries + images)
         rank = total - base

@@ -1,9 +1,14 @@
 """Exact root-system data and Weyl-group combinatorics.
 
-Root systems are realized with rational coordinates in a fixed ambient space
-(standard orthonormal-coordinate realizations per type); the invariant form is
-the ambient dot product.  Weyl elements are canonicalized by their integer
-action matrix on the simple-root basis; reduced words are recovered on demand.
+Roots and weights are carried in simple-root coordinates.  Everything is
+derived from the integer Gram matrix of the simple roots and from the
+Cartan matrix: the positive roots, rho, the fundamental weights and the
+Levi splits that project a weight onto a Levi root span.  The standard
+orthonormal-coordinate realization of types A, B and C is kept only as the
+output edge (simple_roots, from_simple_coords, simple_coords and
+WeylElement.apply).  Weyl elements are canonicalized by their integer
+action matrix on the simple-root basis; reduced words are recovered on
+demand.
 
 All groups are treated as split over Q: rational, real and complex roots
 coincide and the restricted simple roots of a parabolic are in bijection with
@@ -25,108 +30,28 @@ _POSITIVE_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
     "B": lambda n: n * n,
     "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
-}
-
-_WEYL_ORDER = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2**n * _factorial(n),
-    "C": lambda n: 2**n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
 }
 
 _VALID_RANKS = {
     "A": lambda n: n >= 1,
     "B": lambda n: n >= 2,
     "C": lambda n: n >= 2,
-    "D": lambda n: n >= 3,
-    "E": lambda n: n in (6, 7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
 }
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def _frac_vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in entries)
-
-
-def _unit(dim: int, i: int) -> Vec:
-    return _frac_vec(1 if k == i else 0 for k in range(dim))
-
-
-def _vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vec_scale(c: Fraction, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
-
-
-def _dot(u: Vec, v: Vec) -> Fraction:
+def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def _simple_root_vectors(cartan_type: str, rank: int) -> tuple[list[Vec], int]:
+def _simple_root_vectors(cartan_type: str, n: int) -> tuple[tuple[Vec, ...], int]:
     """Simple roots in the standard coordinate realization; returns (roots, dim)."""
-    n = rank
-    if cartan_type == "A":
-        dim = n + 1
-        roots = [_vec_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n)]
-    elif cartan_type == "B":
-        dim = n
-        roots = [_vec_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n - 1)]
-        roots.append(_unit(dim, n - 1))
-    elif cartan_type == "C":
-        dim = n
-        roots = [_vec_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n - 1)]
-        roots.append(_vec_scale(Fraction(2), _unit(dim, n - 1)))
-    elif cartan_type == "D":
-        dim = n
-        roots = [_vec_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n - 1)]
-        roots.append(_vec_add(_unit(dim, n - 2), _unit(dim, n - 1)))
-    elif cartan_type == "G":
-        dim = 3
-        roots = [
-            _vec_sub(_unit(dim, 0), _unit(dim, 1)),
-            _frac_vec([-2, 1, 1]),
-        ]
-    elif cartan_type == "F":
-        dim = 4
-        half = Fraction(1, 2)
-        roots = [
-            _vec_sub(_unit(dim, 1), _unit(dim, 2)),
-            _vec_sub(_unit(dim, 2), _unit(dim, 3)),
-            _unit(dim, 3),
-            (half, -half, -half, -half),
-        ]
-    elif cartan_type == "E":
-        dim = 8
-        half = Fraction(1, 2)
-        a1 = (half, -half, -half, -half, -half, -half, -half, half)
-        a2 = _vec_add(_unit(dim, 0), _unit(dim, 1))
-        rest = [_vec_sub(_unit(dim, i - 2), _unit(dim, i - 3)) for i in range(3, 9)]
-        roots = [a1, a2] + rest
-        roots = roots[:n]
-    else:
-        raise ValueError(f"unknown Cartan type {cartan_type!r}")
-    return roots, dim
+    dim = n + 1 if cartan_type == "A" else n
+    rows = [[0] * dim for _ in range(n)]
+    for i in range(n if cartan_type == "A" else n - 1):
+        rows[i][i], rows[i][i + 1] = 1, -1
+    if cartan_type != "A":
+        rows[n - 1][n - 1] = 1 if cartan_type == "B" else 2
+    return tuple(tuple(Fraction(x) for x in r) for r in rows), dim
 
 
 class InvalidTypeError(ValueError):
@@ -134,11 +59,12 @@ class InvalidTypeError(ValueError):
 
 
 class RootSystem:
-    """A finite irreducible root system with exact rational data.
+    """A finite irreducible root system of type A, B or C with exact data.
 
-    Attributes mirror the classical package of invariants: simple roots,
-    positive roots (ordered by height then lexicographically), half-sum rho,
-    fundamental weights, and the Weyl group order.
+    gram is the integer matrix of the invariant form on the simple roots and
+    cartan[i][j] = <alpha_i, alpha_j^vee>.  positive_roots are integer
+    simple-root coordinates, ordered by height then lexicographically; rho
+    is the half-sum of the positive roots in the same coordinates.
     """
 
     def __init__(self, cartan_type: str, rank: int):
@@ -150,84 +76,51 @@ class RootSystem:
         self.cartan_type = cartan_type
         self.rank = rank
         self.simple_roots, self.ambient_dim = _simple_root_vectors(cartan_type, rank)
-        self.simple_roots = tuple(self.simple_roots)
-        self._gram = tuple(
-            tuple(_dot(a, b) for b in self.simple_roots) for a in self.simple_roots
-        )
-        self._gram_inv = _invert(self._gram)
-        self.cartan = tuple(
-            tuple(
-                2 * _dot(a, b) / _dot(b, b) for b in self.simple_roots
-            )
+        self.gram = tuple(
+            tuple(int(_dot(a, b)) for b in self.simple_roots)
             for a in self.simple_roots
         )
-        self._build_roots()
-        self.rho = self._half_sum()
-        self.fundamental_weights = self._fundamental_weights()
-        self.weyl_order = _WEYL_ORDER[cartan_type](rank)
+        self._gram_inv = _invert(self.gram)
+        g = self.gram
+        self.cartan = tuple(
+            tuple(2 * g[i][j] // g[j][j] for j in range(rank)) for i in range(rank)
+        )
+        self._cartan_inv = _invert(self.cartan)
         self._reflections = tuple(
             self._simple_reflection_matrix(i) for i in range(rank)
+        )
+        self._build_roots()
+        self.rho = tuple(
+            Fraction(sum(col), 2) for col in zip(*self.positive_roots)
         )
         self._validate()
 
     # -- construction -----------------------------------------------------
 
     def _build_roots(self) -> None:
-        seen = set(self.simple_roots)
-        frontier = list(self.simple_roots)
+        n = self.rank
+        seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+        frontier = list(seen)
+        reflections = [self.simple_reflection(i) for i in range(n)]
         while frontier:
             nxt = []
             for r in frontier:
-                for a in self.simple_roots:
-                    img = self.reflect(r, a)
+                for s in reflections:
+                    img = s.apply_coords(r)
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)
             frontier = nxt
-        coords = {r: self.simple_coords(r) for r in seen}
-        pos = [r for r in seen if all(c >= 0 for c in coords[r])]
-        pos.sort(key=lambda r: (sum(coords[r]), coords[r]))
+        pos = [r for r in seen if all(c >= 0 for c in r)]
+        pos.sort(key=lambda r: (sum(r), r))
         self.positive_roots = tuple(pos)
-        self.positive_coords = tuple(
-            tuple(int(c) for c in coords[r]) for r in pos
-        )
-        self._positive_coord_index = {
-            c: i for i, c in enumerate(self.positive_coords)
-        }
-
-    def _half_sum(self) -> Vec:
-        total = tuple(Fraction(0) for _ in range(self.ambient_dim))
-        for r in self.positive_roots:
-            total = _vec_add(total, r)
-        return _vec_scale(Fraction(1, 2), total)
-
-    def _fundamental_weights(self) -> tuple[Vec, ...]:
-        # solve <w_i, a_k^vee> = delta_ik inside the span of the simple roots
-        n = self.rank
-        mat = tuple(
-            tuple(
-                2 * _dot(self.simple_roots[j], self.simple_roots[k])
-                / _dot(self.simple_roots[k], self.simple_roots[k])
-                for j in range(n)
-            )
-            for k in range(n)
-        )
-        inv = _invert(mat)
-        out = []
-        for i in range(n):
-            coeffs = tuple(inv[j][i] for j in range(n))
-            w = tuple(Fraction(0) for _ in range(self.ambient_dim))
-            for c, a in zip(coeffs, self.simple_roots):
-                w = _vec_add(w, _vec_scale(c, a))
-            out.append(w)
-        return tuple(out)
 
     def _simple_reflection_matrix(self, i: int) -> tuple[tuple[int, ...], ...]:
         n = self.rank
         rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
         for j in range(n):
             # s_i(a_j) = a_j - <a_j, a_i^vee> a_i; the diagonal becomes -1
-            rows[i][j] -= int(self.cartan[j][i])
+            rows[i][j] -= self.cartan[j][i]
         return tuple(tuple(r) for r in rows)
 
     def _validate(self) -> None:
@@ -235,7 +128,7 @@ class RootSystem:
         for i in range(n):
             for j in range(n):
                 c = self.cartan[i][j]
-                if c != int(c):
+                if 2 * self.gram[i][j] != c * self.gram[j][j]:
                     raise AssertionError("non-integral Cartan pairing")
                 if i == j and c != 2:
                     raise AssertionError("Cartan diagonal is not 2")
@@ -243,14 +136,37 @@ class RootSystem:
                     raise AssertionError("positive off-diagonal Cartan entry")
         if len(self.positive_roots) != _POSITIVE_COUNT[self.cartan_type](n):
             raise AssertionError("positive root count mismatch")
-        for a in self.simple_roots:
-            if 2 * _dot(self.rho, a) / _dot(a, a) != 1:
+        for i in range(n):
+            if 2 * _dot(self.gram[i], self.rho) != self.gram[i][i]:
                 raise AssertionError("rho is not the sum of fundamental weights")
 
-    # -- basic linear algebra over the root span --------------------------
+    # -- coordinates --------------------------------------------------------
+
+    def form(self, u, v) -> Fraction:
+        """Invariant form of two vectors given in simple-root coordinates."""
+        g = self.gram
+        n = self.rank
+        return sum(
+            (u[i] * g[i][j] * v[j] for i in range(n) for j in range(n)),
+            Fraction(0),
+        )
+
+    def weight_from_fundamental(self, coords) -> Vec:
+        """Simple-root coordinates of sum_i coords[i] * omega_i.
+
+        omega_i is row i of the inverse Cartan matrix, since
+        <omega_i, alpha_k^vee> = delta_ik.
+        """
+        inv = self._cartan_inv
+        return tuple(
+            sum((c * inv[i][j] for i, c in enumerate(coords)), Fraction(0))
+            for j in range(self.rank)
+        )
+
+    # -- the standard realization (output edge) -----------------------------
 
     def simple_coords(self, v: Vec) -> Vec:
-        """Coefficients of the root-span part of v in the simple basis."""
+        """Coefficients of the root-span part of ambient v in the simple basis."""
         rhs = tuple(_dot(v, a) for a in self.simple_roots)
         return tuple(
             sum((self._gram_inv[i][j] * rhs[j] for j in range(self.rank)),
@@ -259,32 +175,10 @@ class RootSystem:
         )
 
     def from_simple_coords(self, coords) -> Vec:
-        out = tuple(Fraction(0) for _ in range(self.ambient_dim))
-        for c, a in zip(coords, self.simple_roots):
-            out = _vec_add(out, _vec_scale(Fraction(c), a))
-        return out
-
-    def weight_from_fundamental(self, coords) -> Vec:
-        out = tuple(Fraction(0) for _ in range(self.ambient_dim))
-        for c, w in zip(coords, self.fundamental_weights):
-            out = _vec_add(out, _vec_scale(Fraction(c), w))
-        return out
-
-    def reflect(self, v: Vec, alpha: Vec) -> Vec:
-        c = 2 * _dot(v, alpha) / _dot(alpha, alpha)
-        return _vec_sub(v, _vec_scale(c, alpha))
-
-    def levi_projection(self, v: Vec, levi: frozenset[int]) -> Vec:
-        """Orthogonal projection of v onto the span of the Levi simple roots."""
-        basis = [self.simple_roots[i] for i in sorted(levi)]
-        if not basis:
-            return tuple(Fraction(0) for _ in range(self.ambient_dim))
-        gram = tuple(tuple(_dot(a, b) for b in basis) for a in basis)
-        coeffs = solve(gram, [[_dot(v, a)] for a in basis])
-        out = tuple(Fraction(0) for _ in range(self.ambient_dim))
-        for (c,), a in zip(coeffs, basis):
-            out = _vec_add(out, _vec_scale(c, a))
-        return out
+        """The ambient vector with the given simple-root coordinates."""
+        return tuple(
+            _dot(coords, col) for col in zip(*self.simple_roots)
+        )
 
     # -- identity and hashing ---------------------------------------------
 
@@ -379,9 +273,8 @@ class WeylElement:
         sys = self.system
         coords = sys.simple_coords(v)
         span = sys.from_simple_coords(coords)
-        perp = _vec_sub(v, span)
         img = sys.from_simple_coords(self.apply_coords(coords))
-        return _vec_add(img, perp)
+        return tuple(x - y + z for x, y, z in zip(v, span, img))
 
     def is_identity(self) -> bool:
         n = len(self.matrix)
@@ -395,7 +288,7 @@ class WeylElement:
         """Indices of positive roots gamma with w^-1(gamma) negative."""
         inv = self.inverse()
         out = []
-        for idx, coords in enumerate(self.system.positive_coords):
+        for idx, coords in enumerate(self.system.positive_roots):
             img = inv.apply_coords(coords)
             if any(c < 0 for c in img):
                 out.append(idx)
@@ -459,7 +352,7 @@ class Parabolic:
     def levi_positive_indices(self) -> list[int]:
         """Indices of positive roots supported on the Levi subset."""
         out = []
-        for idx, coords in enumerate(self.system.positive_coords):
+        for idx, coords in enumerate(self.system.positive_roots):
             if all(c == 0 or i in self.levi for i, c in enumerate(coords)):
                 out.append(idx)
         return out
@@ -594,13 +487,49 @@ def longest_levi_element(system: RootSystem, levi: frozenset[int]) -> WeylElemen
     w = system.identity_element()
     while True:
         i = next(
-            (
-                i for i in sorted(levi)
-                if _dot(v, system.simple_roots[i]) > 0
-            ),
-            None,
+            (i for i in sorted(levi) if _dot(system.gram[i], v) > 0), None
         )
         if i is None:
             return w
-        v = system.reflect(v, system.simple_roots[i])
-        w = system.simple_reflection(i) * w
+        s = system.simple_reflection(i)
+        v = s.apply_coords(v)
+        w = s * w
+
+
+@lru_cache(maxsize=None)
+def levi_split(system: RootSystem, levi: frozenset[int]):
+    """The matrices M = G_LL^-1 G_LR and S = G_RR - G_RL M of a Levi.
+
+    G is the Gram matrix, L the sorted Levi indices and R the sorted rest.
+    For v with simple-root coordinates c, the orthogonal projection of v
+    onto the Levi root span has coordinates c_L + M c_R on L (and 0 on R),
+    and the form of v's component orthogonal to that span with alpha_r,
+    r in R, is (S c_R)_r.
+    """
+    g = system.gram
+    lev = sorted(levi)
+    rest = [i for i in range(system.rank) if i not in levi]
+    m = solve([[g[a][b] for b in lev] for a in lev],
+              [[g[a][b] for b in rest] for a in lev])
+    s = tuple(
+        tuple(
+            g[r][c] - sum((g[r][l] * row[k] for l, row in zip(lev, m)), Fraction(0))
+            for k, c in enumerate(rest)
+        )
+        for r in rest
+    )
+    return m, s
+
+
+def levi_part(system: RootSystem, levi: frozenset, v) -> tuple:
+    """Simple-root coordinates of the projection of v onto the Levi root span.
+
+    v is in simple-root coordinates; the projection is orthogonal for the
+    invariant form.
+    """
+    m, _ = levi_split(system, levi)
+    rest = [v[j] for j in range(system.rank) if j not in levi]
+    out = [Fraction(0)] * system.rank
+    for l, row in zip(sorted(levi), m):
+        out[l] = v[l] + sum((x * c for x, c in zip(row, rest)), Fraction(0))
+    return tuple(out)

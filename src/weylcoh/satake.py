@@ -19,8 +19,11 @@ from math import inf
 from .kostant import (
     KostantClass,
     bracketing_parabolics,
+    kostant_class,
     kostant_decomposition,
+    levi_self_dual,
 )
+from .microsupport import RealFormOracle
 from .posetmod import (
     Face,
     GradedAbelian,
@@ -33,12 +36,7 @@ from .posetmod import (
 from .roots import (
     Parabolic,
     RootSystem,
-    Vec,
-    _dot,
-    _vec_add,
-    _vec_sub,
     factorize,
-    longest_levi_element,
     parabolic,
 )
 from .threads import build_thread
@@ -69,7 +67,7 @@ def baily_borel(system: RootSystem) -> SatakeDatum:
 
 
 def _adjacent(system: RootSystem, i: int, j: int) -> bool:
-    return _dot(system.simple_roots[i], system.simple_roots[j]) != 0
+    return system.gram[i][j] != 0
 
 
 def kappa_zeta(datum: SatakeDatum, psi) -> tuple[frozenset, frozenset]:
@@ -158,14 +156,6 @@ def complementary_parabolic(Q: Parabolic, R: Parabolic) -> Parabolic:
 # -- dimension bookkeeping (split preset) ---------------------------------
 
 
-def _subsystem_positives(system: RootSystem, support: frozenset) -> list[int]:
-    out = []
-    for idx, coords in enumerate(system.positive_coords):
-        if all(c == 0 or i in support for i, c in enumerate(coords)):
-            out.append(idx)
-    return out
-
-
 def dim_boundary_symmetric_space(
     datum: SatakeDatum, P: Parabolic, side: str
 ) -> int:
@@ -174,7 +164,7 @@ def dim_boundary_symmetric_space(
     part = kappa if side == "h" else zeta
     if side not in ("h", "ell"):
         raise ValueError(f"side must be 'h' or 'ell', got {side!r}")
-    return len(_subsystem_positives(datum.system, part)) + len(part)
+    return len(parabolic(datum.system, part).levi_positive_indices()) + len(part)
 
 
 def codim_boundary_stratum(datum: SatakeDatum, R: Parabolic) -> int:
@@ -183,35 +173,15 @@ def codim_boundary_stratum(datum: SatakeDatum, R: Parabolic) -> int:
     return dim_full - dim_boundary_symmetric_space(datum, R, "h")
 
 
-def _ell_projection(datum: SatakeDatum, P: Parabolic, v: Vec) -> Vec:
-    _, zeta = kappa_zeta(datum, P.levi)
-    return datum.system.levi_projection(v, frozenset(zeta))
-
-
 def fiber_self_contragredient(datum: SatakeDatum, c: KostantClass) -> bool:
     """Self-duality of the class after restriction to the ell-side Levi."""
     _, zeta = kappa_zeta(datum, c.P.levi)
-    mss = _ell_projection(datum, c.P, c.mu)
-    if all(x == 0 for x in mss):
-        return True
-    w0 = longest_levi_element(c.system, frozenset(zeta))
-    return tuple(-x for x in w0.apply(mss)) == tuple(mss)
+    return levi_self_dual(c.system, zeta, c.mu_coords)
 
 
 def _ell_dimDV(datum: SatakeDatum, c: KostantClass) -> int:
-    from . import snf
-
-    sys = c.system
     _, zeta = kappa_zeta(datum, c.P.levi)
-    perp = [
-        i
-        for i in _subsystem_positives(sys, zeta)
-        if _dot(sys.positive_roots[i], c.mu) == 0
-    ]
-    if not perp:
-        return 0
-    rank = snf.qq_rank([list(sys.positive_roots[i]) for i in perp])
-    return len(perp) + rank
+    return RealFormOracle().dimDV(parabolic(c.system, zeta), c.mu_coords)
 
 
 # -- fiber restriction ----------------------------------------------------
@@ -355,13 +325,9 @@ def pairing_shift(c: KostantClass, alpha0: int):
     """
     if alpha0 not in c.P.restricted_indices:
         raise ValueError(f"{alpha0} is not a restricted root of {c.P}")
-    sys = c.system
-    bigger = parabolic(sys, c.P.levi | {alpha0})
+    bigger = parabolic(c.system, c.P.levi | {alpha0})
     _, w_up = factorize(c.w, c.P, bigger)
-    mu_up = _vec_sub(w_up.apply(_vec_add(c.lam, sys.rho)), sys.rho)
-    parent = KostantClass(
-        P=bigger, w=w_up, lam=c.lam, mu=mu_up, degree=w_up.length()
-    )
+    parent = kostant_class(bigger, w_up, c.lam)
     comparisons = {
         i: (parent.pairing(i), c.pairing(i))
         for i in c.P.restricted_indices

@@ -85,12 +85,16 @@ def qq_rank(mat: Matrix) -> int:
     return len(echelon(mat)[1])
 
 
-def kernel_basis(mat: Matrix) -> list[tuple[Fraction, ...]]:
+def kernel_basis(
+    mat: Matrix, ncols: int | None = None
+) -> list[tuple[Fraction, ...]]:
     """Basis of the rational null space {v : mat @ v = 0} (column vectors).
 
     One vector per free column: 1 there, 0 at the other free columns.
+    ncols gives the column count of a matrix with no rows.
     """
-    ncols = shape(mat)[1]
+    if ncols is None:
+        ncols = shape(mat)[1]
     rows, pivots, d = echelon(mat)
     basis = []
     for fc in range(ncols):

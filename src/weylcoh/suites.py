@@ -19,7 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .kostant import is_self_contragredient, kostant_decomposition
+from .kostant import (
+    is_self_contragredient,
+    kostant_decomposition,
+    levi_self_dual,
+)
 from .microsupport import (
     RealFormOracle,
     classify_fundamental,
@@ -38,7 +42,6 @@ from .posetmod import (
     total_complex,
 )
 from .roots import (
-    _dot,
     bidegree,
     build_root_system,
     codim_and_perversity,
@@ -716,28 +719,6 @@ def _suite_ms_ic(rec: _Recorder, **_):
             )
 
 
-def _suite_ms_ic_c2(rec: _Recorder, **_):
-    system = build_root_system("C", 2)
-    for kind in ("m", "n"):
-        ms = micro_support("ic", (0, 0), system, kind=kind)
-        ess = [e for e in ms if e.essential]
-        rec.add(
-            f"ms-ic-C2/essential-{kind}",
-            "DERIVED",
-            "emS = {E}",
-            "emS = {E}" if _ems_is_trivial_class(ess) else f"{ess}",
-        )
-        rest = [e for e in ms if not e.essential]
-        rec.add(
-            f"ms-ic-C2/non-essential-fundamental-{kind}",
-            "DERIVED",
-            "all fundamental",
-            "all fundamental"
-            if all(classify_fundamental(e) for e in rest)
-            else "exceptions found",
-        )
-
-
 def _suite_ms_wc(rec: _Recorder, **_):
     for typ, rank, lams in _MS_GRID:
         system = build_root_system(typ, rank)
@@ -771,11 +752,8 @@ _RANK3_SYSTEMS = [
 
 
 def _module_self_dual(system, lam_coords) -> bool:
-    from .roots import longest_levi_element
-
     lam = system.weight_from_fundamental(lam_coords)
-    w0 = longest_levi_element(system, frozenset(range(system.rank)))
-    return tuple(-x for x in w0.apply(lam)) == tuple(lam)
+    return levi_self_dual(system, frozenset(range(system.rank)), lam)
 
 
 def _suite_basic_lemma(rec: _Recorder, **_):
@@ -1165,7 +1143,7 @@ def _suite_pairing_shift(rec: _Recorder, **_):
     bad = []
     for typ, rank in systems:
         system = build_root_system(typ, rank)
-        simple = system.simple_roots
+        gram = system.gram
         for lam in [(0,) * rank, (1,) * rank]:
             for levi in subsets(range(rank)):
                 P = parabolic(system, levi)
@@ -1177,13 +1155,11 @@ def _suite_pairing_shift(rec: _Recorder, **_):
                         adj = [
                             i
                             for i in rest
-                            if i != a0 and _dot(simple[a0], simple[i]) != 0
+                            if i != a0 and gram[a0][i] != 0
                         ]
                         if len(adj) > 1:
                             continue
-                        if any(
-                            _dot(simple[a0], simple[j]) != 0 for j in levi
-                        ):
+                        if any(gram[a0][j] != 0 for j in levi):
                             continue
                         if c.pairing(a0) <= 0:
                             continue
@@ -1216,7 +1192,6 @@ SUITES = {
     ),
     "ms-pushforward": (_suite_ms_pushforward, "pushforward micro-support closed form"),
     "ms-ic": (_suite_ms_ic, "perversity-family essential micro-support"),
-    "ms-ic-C2": (_suite_ms_ic_c2, "C2 spot check of the perversity micro-support"),
     "ms-wc": (_suite_ms_wc, "weight-family essential micro-support"),
     "basic-lemma": (_suite_basic_lemma, "bidegree bounds under sign hypotheses"),
     "deligne": (_suite_deligne, "stalk vanishing and attaching isomorphisms"),

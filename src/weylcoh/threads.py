@@ -11,7 +11,6 @@ the central character of the face against a weight profile).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import inf
 
 from .posetmod import (
@@ -26,18 +25,13 @@ from .posetmod import (
 )
 from .roots import (
     Parabolic,
-    RootSystem,
     Vec,
     WeylElement,
-    _dot,
-    _vec_add,
-    _vec_sub,
     bidegree,
     codim_and_perversity,
     factorize,
     parabolic,
 )
-from .snf import solve
 
 FAMILIES = ("pushforward", "ic", "wc")
 PROFILES = ("mu", "nu")
@@ -63,26 +57,6 @@ def ic_cutoffs(P: Parabolic, w: WeylElement, kind: str) -> dict[Face, int]:
     return out
 
 
-def restricted_coords(system: RootSystem, levi: frozenset, v: Vec) -> dict[int, Fraction]:
-    """Coordinates of v in the basis of projected simple roots off the Levi.
-
-    The projection is orthogonal, so any component of v along the Levi or
-    the central direction is discarded; this realizes restriction to the
-    semisimple part of the split torus of the Levi.
-    """
-    idx = [i for i in range(system.rank) if i not in levi]
-    basis = [
-        _vec_sub(
-            system.simple_roots[i],
-            system.levi_projection(system.simple_roots[i], levi),
-        )
-        for i in idx
-    ]
-    gram = [[_dot(a, b) for b in basis] for a in basis]
-    coords = solve(gram, [[_dot(a, v)] for a in basis])
-    return {i: c for i, (c,) in zip(idx, coords)}
-
-
 def wc_keep(
     P: Parabolic,
     w: WeylElement,
@@ -92,27 +66,26 @@ def wc_keep(
 ) -> bool:
     """Whether the weight profile keeps the face a of the thread of w.
 
-    The face is kept when the central character of its piece dominates the
-    profile in the restricted-root cone.  The profile 'nu' is the exact
-    lower-middle weight; 'mu' adds an infinitesimally small positive
-    multiple of the half-sum, handled symbolically by tie-breaking.
+    lam is in simple-root coordinates.  The face is kept when the central
+    character of its piece dominates the profile in the restricted-root
+    cone, i.e. when the simple-root coordinates of wQ(lambda+rho) off the
+    Levi of Q are all >= 0.  The profile 'nu' is the exact lower-middle
+    weight; 'mu' adds an infinitesimally small positive multiple of rho,
+    whose simple-root coordinates are all positive, so there the
+    coordinates must be > 0.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown weight profile {profile!r}")
-    sys = P.system
     Q = face_parabolic(P, a)
     if Q.is_full:
         return True
     _, wQ = factorize(w, P, Q)
-    target = wQ.apply(_vec_add(lam, sys.rho))
-    rat = restricted_coords(sys, Q.levi, target)
+    rho = P.system.rho
+    target = wQ.apply_coords(tuple(x + r for x, r in zip(lam, rho)))
+    rest = [target[i] for i in Q.restricted_indices]
     if profile == "nu":
-        return all(c >= 0 for c in rat.values())
-    eps = restricted_coords(sys, Q.levi, sys.rho)
-    # mu profile: compare a - eps * r lexicographically against zero
-    return all(
-        rat[i] > 0 or (rat[i] == 0 and eps[i] <= 0) for i in rat
-    )
+        return all(c >= 0 for c in rest)
+    return all(c > 0 for c in rest)
 
 
 def wc_cutoffs(

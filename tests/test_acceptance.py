@@ -258,7 +258,6 @@ def test_c06_pushforward_support_closed_form():
 
 def test_c07_perversity_essential_support_is_trivial_class():
     _assert_suite("ms-ic")
-    _assert_suite("ms-ic-C2")
 
 
 def test_c08_weight_family_essential_support_is_trivial_class():

@@ -140,3 +140,56 @@ def test_bad_rank_rejected(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("satake", "--type", "A", "--rank", "3"),
+        ("simplex", "--rank", "2", "--cut", "a1x"),
+        ("roots", "--type", "D", "--rank", "4"),
+    ],
+)
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_corrupt_checkpoint_is_a_usage_error(capsys, tmp_path):
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text("{not json")
+    code, _, err = run(
+        capsys, "verify", "footnote-sp20-exhaustive", "--checkpoint", str(bad)
+    )
+    assert code == 2
+    assert "checkpoint" in err
+
+
+def test_engine_error_is_not_a_usage_error(monkeypatch):
+    # an internal ValueError must surface as a traceback, not as exit 2
+    def broken(cfg, out):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr("weylcoh.cli.cmd_roots", broken)
+    with pytest.raises(ValueError, match="engine bug"):
+        main(["roots", "--type", "C", "--rank", "2"])
+
+
+def test_kostant_mu_column_is_pinned(capsys):
+    # ambient mu of A2 has thirds; the output edge must print them unchanged
+    code, out, _ = run(
+        capsys,
+        "kostant", "--type", "A", "--rank", "2", "--lambda", "1,0",
+        "--format", "tsv",
+    )
+    assert code == 0
+    assert out == (
+        "word\tlength\tmu\tpairing-signs\tself-dual\n"
+        "e\t0\t2/3,-1/3,-1/3\t++\tyes\n"
+        "1\t1\t-4/3,5/3,-1/3\t-+\tyes\n"
+        "2\t1\t2/3,-4/3,2/3\t+-\tyes\n"
+        "12\t2\t-7/3,5/3,2/3\t-+\tyes\n"
+        "21\t2\t-4/3,-4/3,8/3\t+-\tyes\n"
+        "121\t3\t-7/3,-1/3,8/3\t--\tyes\n"
+    )

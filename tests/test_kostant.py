@@ -1,5 +1,8 @@
 """Isotypical class bookkeeping: weights, pairings, bracketing parabolics."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from weylcoh.kostant import (
@@ -7,7 +10,10 @@ from weylcoh.kostant import (
     is_self_contragredient,
     kostant_decomposition,
 )
-from weylcoh.roots import build_root_system, parabolic
+from weylcoh.posetmod import subsets
+from weylcoh.roots import build_root_system, factorize, parabolic
+from weylcoh.snf import solve
+from weylcoh.threads import PROFILES, wc_keep
 
 
 def _classes(typ, rank, levi, lam):
@@ -25,10 +31,13 @@ def test_class_count_and_degrees():
 
 def test_weight_recomputation():
     # mu must be the rho-shifted action of the representative on lambda
+    # (lam and rho are carried in simple-root coordinates; compare ambient)
     for c in _classes("C", 2, (), (1, 1)):
         sys = c.system
-        lam_rho = tuple(a + b for a, b in zip(c.lam, sys.rho))
-        want = tuple(a - b for a, b in zip(c.w.apply(lam_rho), sys.rho))
+        lam = sys.from_simple_coords(c.lam)
+        rho = sys.from_simple_coords(sys.rho)
+        lam_rho = tuple(a + b for a, b in zip(lam, rho))
+        want = tuple(a - b for a, b in zip(c.w.apply(lam_rho), rho))
         assert tuple(c.mu) == want
 
 
@@ -88,3 +97,135 @@ def test_central_character_splits_mu():
     for c in _classes("C", 3, (0, 1), (1, 1, 1)):
         recomposed = tuple(a + b for a, b in zip(c.xi, c.mu_semisimple))
         assert recomposed == tuple(c.mu)
+
+
+# -- ambient reference -------------------------------------------------------
+#
+# The orthogonal-projection maths the engine used before it carried weights in
+# simple-root coordinates: Levi projections and restricted coordinates solved
+# in the ambient realization.  Kept here as the reference the coordinate layer
+# is compared against.
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _combine(coeffs, vectors, dim):
+    return tuple(
+        sum((c * v[k] for c, v in zip(coeffs, vectors)), Fraction(0))
+        for k in range(dim)
+    )
+
+
+def _ref_levi_projection(sys, v, levi):
+    basis = [sys.simple_roots[i] for i in sorted(levi)]
+    if not basis:
+        return (Fraction(0),) * sys.ambient_dim
+    gram = [[_dot(a, b) for b in basis] for a in basis]
+    coeffs = solve(gram, [[_dot(v, a)] for a in basis])
+    return _combine([c for (c,) in coeffs], basis, sys.ambient_dim)
+
+
+def _ref_restricted_coords(sys, levi, v):
+    idx = [i for i in range(sys.rank) if i not in levi]
+    basis = [
+        tuple(
+            a - b
+            for a, b in zip(
+                sys.simple_roots[i],
+                _ref_levi_projection(sys, sys.simple_roots[i], levi),
+            )
+        )
+        for i in idx
+    ]
+    gram = [[_dot(a, b) for b in basis] for a in basis]
+    coords = solve(gram, [[_dot(a, v)] for a in basis])
+    return {i: c for i, (c,) in zip(idx, coords)}
+
+
+def _ref_reflect(v, alpha):
+    c = 2 * _dot(v, alpha) / _dot(alpha, alpha)
+    return tuple(x - c * a for x, a in zip(v, alpha))
+
+
+def _ref_weights(sys):
+    """Ambient fundamental weights: <omega_i, alpha_k^vee> = delta_ik."""
+    roots, n = sys.simple_roots, sys.rank
+    mat = [[2 * _dot(roots[j], roots[k]) / _dot(roots[k], roots[k])
+            for j in range(n)] for k in range(n)]
+    inv = solve(mat, [[int(i == j) for j in range(n)] for i in range(n)])
+    return [
+        _combine([inv[j][i] for j in range(n)], roots, sys.ambient_dim)
+        for i in range(n)
+    ]
+
+
+def _ref_self_contragredient(sys, levi, mu):
+    mss = _ref_levi_projection(sys, mu, levi)
+    if not any(mss):
+        return True
+    v = _combine([1] * sys.rank, _ref_weights(sys), sys.ambient_dim)
+    w0 = sys.identity_element()
+    while True:
+        i = next(
+            (i for i in sorted(levi) if _dot(v, sys.simple_roots[i]) > 0), None
+        )
+        if i is None:
+            break
+        v = _ref_reflect(v, sys.simple_roots[i])
+        w0 = sys.simple_reflection(i) * w0
+    return tuple(-x for x in w0.apply(mss)) == mss
+
+
+def _ref_wc_keep(P, w, lam_rho, eps, a):
+    """Both weight profiles' verdicts; eps maps a Levi to rho's coordinates."""
+    sys = P.system
+    Q = parabolic(sys, P.levi | a)
+    if Q.is_full:
+        return {"mu": True, "nu": True}
+    _, wQ = factorize(w, P, Q)
+    rat = _ref_restricted_coords(sys, Q.levi, wQ.apply(lam_rho))
+    e = eps[Q.levi]
+    return {
+        "nu": all(c >= 0 for c in rat.values()),
+        "mu": all(rat[i] > 0 or (rat[i] == 0 and e[i] <= 0) for i in rat),
+    }
+
+
+@pytest.mark.parametrize("typ", ["A", "B", "C"])
+def test_coordinates_match_ambient_reference(typ):
+    sys = build_root_system(typ, 3)
+    weights = _ref_weights(sys)
+    rho = _combine([1] * 3, weights, sys.ambient_dim)
+    eps = {
+        frozenset(L): _ref_restricted_coords(sys, frozenset(L), rho)
+        for L in subsets(range(3))
+    }
+    for lam_coords in itertools.product((0, 1), repeat=3):
+        lam = _combine(lam_coords, weights, sys.ambient_dim)
+        lam_rho = tuple(a + b for a, b in zip(lam, rho))
+        for levi in subsets(range(3)):
+            P = parabolic(sys, levi)
+            for c in kostant_decomposition(lam_coords, P):
+                mu = tuple(a - b for a, b in zip(c.w.apply(lam_rho), rho))
+                assert c.mu == mu
+                semi = _ref_levi_projection(sys, mu, levi)
+                assert c.mu_semisimple == semi
+                assert c.xi == tuple(a - b for a, b in zip(mu, semi))
+                target = tuple(a + b for a, b in zip(mu, rho))
+                torus = tuple(
+                    a - b
+                    for a, b in zip(
+                        target, _ref_levi_projection(sys, target, levi)
+                    )
+                )
+                for i in P.restricted_indices:
+                    assert c.pairing(i) == _dot(torus, sys.simple_roots[i])
+                assert is_self_contragredient(c) == _ref_self_contragredient(
+                    sys, levi, mu
+                )
+                for a in subsets(P.restricted_indices):
+                    want = _ref_wc_keep(P, c.w, lam_rho, eps, a)
+                    for profile in PROFILES:
+                        assert wc_keep(P, c.w, c.lam, a, profile) == want[profile]

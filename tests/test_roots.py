@@ -1,5 +1,7 @@
 """Root systems, Weyl elements, parabolics, and length bookkeeping."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,10 +38,17 @@ def test_positive_root_count(typ, rank):
 
 
 def test_invalid_type_rejected():
-    with pytest.raises(InvalidTypeError):
-        build_root_system("Z", 2)
-    with pytest.raises(InvalidTypeError):
-        build_root_system("C", 0)
+    # only A, B and C are realized; D-G are unknown types like Z
+    for typ, rank in [("Z", 2), ("C", 0), ("D", 4), ("E", 6), ("G", 2)]:
+        with pytest.raises(InvalidTypeError):
+            build_root_system(typ, rank)
+
+
+def test_rho_has_positive_simple_coords():
+    # the 'mu' weight profile relies on this (threads.wc_keep)
+    for typ, low in [("A", 1), ("B", 2), ("C", 2)]:
+        for rank in range(low, 11):
+            assert all(c > 0 for c in build_root_system(typ, rank).rho)
 
 
 @pytest.mark.parametrize(
@@ -50,6 +59,36 @@ def test_weyl_group_order(typ, rank, order):
     reps = list(enumerate_min_coset_reps(parabolic(sys, ())))
     assert len(reps) == order
     assert len(set(reps)) == order
+
+
+def _group_order(sys, gens):
+    """Order of the group generated by the given simple reflections."""
+    seen = {sys.identity_element()}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in gens:
+                v = w * sys.simple_reflection(i)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "typ,rank,order", [("A", 3, 24), ("B", 3, 48), ("C", 3, 48)]
+)
+def test_min_coset_counts_every_levi(typ, rank, order):
+    # |W| by closure, and |W| / |W_L| minimal representatives for every Levi
+    sys = build_root_system(typ, rank)
+    assert _group_order(sys, range(rank)) == order
+    for levi in itertools.chain.from_iterable(
+        itertools.combinations(range(rank), k) for k in range(rank + 1)
+    ):
+        reps = list(enumerate_min_coset_reps(parabolic(sys, levi)))
+        assert len(set(reps)) == len(reps) == order // _group_order(sys, levi)
 
 
 def test_longest_element_involution():

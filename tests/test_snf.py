@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylcoh import snf
+from weylcoh.posetmod import integer_kernel
 
 
 def test_divisors_of_diagonal_matrix():
@@ -143,6 +144,24 @@ def test_kernel_basis_annihilates(mat):
             assert sum(x * y for x, y in zip(row, v)) == 0
     if basis:
         assert _rank(basis) == len(basis)
+
+
+def test_kernel_basis_of_matrix_without_rows():
+    # a 0 x 3 matrix has no rows to carry its width
+    assert snf.kernel_basis((), ncols=3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@given(int_matrices)
+@settings(max_examples=150, deadline=None)
+def test_integer_kernel_is_saturated(mat):
+    # a basis of the whole kernel lattice: every SNF divisor of it is 1
+    basis = integer_kernel(mat)
+    assert len(basis) == len(mat[0]) - _rank(mat)
+    for v in basis:
+        for row in mat:
+            assert sum(x * y for x, y in zip(row, v)) == 0
+    if basis:
+        assert snf.snf_divisors(basis) == [1] * len(basis)
 
 
 @given(qq_matrices, st.integers(1, 3), st.data())
