@@ -19,14 +19,7 @@ from .kostant import (
     is_self_contragredient,
     kostant_decomposition,
 )
-from .posetmod import (
-    Face,
-    GradedAbelian,
-    attaching_map_rank,
-    face_key,
-    subsets,
-    supported_local_cohomology,
-)
+from .posetmod import Face, GradedAbelian, face_key, subsets
 from .roots import (
     Parabolic,
     RootSystem,
@@ -35,7 +28,12 @@ from .roots import (
     parabolic,
 )
 from .snf import qq_rank
-from .threads import FAMILIES, build_thread
+from .threads import (
+    FAMILIES,
+    thread_attaching_rank,
+    thread_key,
+    thread_local_cohomology,
+)
 
 
 @dataclass(frozen=True)
@@ -79,20 +77,18 @@ def _entry_for_class(
     q_lo, q_hi = bracketing_parabolics(c)
     a_lo = frozenset(q_lo.levi - P.levi)
     a_hi = frozenset(q_hi.levi - P.levi)
-    thread = build_thread(
-        family, P, c.w, kind=kind, profile=profile, lam=c.lam
-    )
+    key = thread_key(family, P, c.w, kind=kind, profile=profile, lam=c.lam)
     window = []
     for a in subsets(sorted(a_hi)):
         if not a_lo <= a:
             continue
-        g = supported_local_cohomology(thread, a)
+        g = thread_local_cohomology(key, a)
         if not g.is_zero:
             window.append((a, g.shifted(c.degree)))
     if not window:
         return None
     degs = [d for _, g in window for d in g.degrees()]
-    ranks = attaching_map_rank(thread, a_lo, a_hi)
+    ranks = thread_attaching_rank(key, a_lo, a_hi)
     fundamental = (
         not P.is_full
         and q_lo.levi == P.levi

@@ -544,6 +544,13 @@ def ic_module(index_set, cutoffs: dict, order=None) -> PosetModule:
     processed in decreasing stratum dimension (decreasing subset size), with
     ties broken canonically unless an explicit linear extension is given.
     """
+    return _successive_truncation(index_set, cutoffs, order)
+
+
+def _successive_truncation(
+    index_set, cutoffs: dict, order=None, marks: dict | None = None
+) -> PosetModule:
+    """The loop behind ic_module; marks[a] tells if truncating a cut a class."""
     module = pushforward_module(index_set)
     faces = [a for a in subsets(index_set) if a != frozenset(index_set)]
     if order is None:
@@ -556,7 +563,11 @@ def ic_module(index_set, cutoffs: dict, order=None) -> PosetModule:
         if sizes != sorted(sizes, reverse=True):
             raise ValueError("order must be nonincreasing in stratum dimension")
     for a in order:
-        module = truncate_at(module, a, cutoffs[a])
+        cut = cutoffs[a]
+        if marks is not None:
+            cx, _ = local_complex(module, a)
+            marks[a] = any(d > cut for d in cx.cohomology().degrees())
+        module = truncate_at(module, a, cut)
     return module
 
 

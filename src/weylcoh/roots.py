@@ -393,12 +393,13 @@ def codim_and_perversity(P: Parabolic, kind: str) -> tuple[int, int]:
 
 def is_min_coset_rep(w: WeylElement, P: Parabolic) -> bool:
     """True iff w^-1 maps every Levi simple root of P to a positive root."""
-    inv = w.inverse()
-    n = w.system.rank
-    for i in P.levi:
-        if any(inv.matrix[r][i] < 0 for r in range(n)):
-            return False
-    return True
+    return _first_negative_column(w.inverse(), P.levi) is None
+
+
+def _first_negative_column(inv: WeylElement, levi) -> Optional[int]:
+    """The least i in levi with inv(alpha_i) negative, or None."""
+    rows = inv.matrix
+    return next((i for i in sorted(levi) if any(r[i] < 0 for r in rows)), None)
 
 
 def enumerate_min_coset_reps(
@@ -430,12 +431,7 @@ def enumerate_min_coset_reps(
                 if w2.matrix in seen:
                     continue
                 w2inv = sys.simple_reflection(j) * winv
-                ok = True
-                for i in P.levi:
-                    if any(w2inv.matrix[r][i] < 0 for r in range(n)):
-                        ok = False
-                        break
-                if not ok:
+                if _first_negative_column(w2inv, P.levi) is not None:
                     continue
                 seen.add(w2.matrix)
                 nxt.append((w2, w2inv))
@@ -453,25 +449,17 @@ def factorize(
     """
     if not P.levi <= Q.levi:
         raise ValueError("P is not contained in Q")
-    if not is_min_coset_rep(w, P):
+    vinv = w.inverse()
+    if _first_negative_column(vinv, P.levi) is not None:
         raise ValueError("w is not a minimal coset representative for P")
     sys = w.system
-    n = sys.rank
     v = w
     u = sys.identity_element()
-    while True:
-        vinv = v.inverse()
-        i = next(
-            (
-                i for i in sorted(Q.levi)
-                if any(vinv.matrix[r][i] < 0 for r in range(n))
-            ),
-            None,
-        )
-        if i is None:
-            break
-        v = sys.simple_reflection(i) * v
-        u = u * sys.simple_reflection(i)
+    while (i := _first_negative_column(vinv, Q.levi)) is not None:
+        s = sys.simple_reflection(i)
+        v = s * v
+        vinv = vinv * s
+        u = u * s
     return u, v
 
 

@@ -7,21 +7,25 @@ of P.  Three families are built here: the plain zero-extension of the open
 face, the perversity-truncated family (integer cutoffs p(Q) - l_Q(w)), and
 the weight-truncated family (all-or-nothing cutoffs decided by comparing
 the central character of the face against a weight profile).
+
+A thread is a value keyed by its cutoff profile (thread_key).  What
+micro-support asks of a thread is cached per process under that key.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import inf
 
 from .posetmod import (
     Face,
+    GradedAbelian,
     PosetModule,
-    face_key,
+    _successive_truncation,
+    attaching_map_rank,
     ic_module,
-    local_complex,
-    pushforward_module,
     subsets,
-    truncate_at,
+    supported_local_cohomology,
 )
 from .roots import (
     Parabolic,
@@ -45,16 +49,32 @@ def face_parabolic(P: Parabolic, a: Face) -> Parabolic:
     return parabolic(P.system, P.levi | a)
 
 
+@lru_cache(maxsize=None)
+def _proper_faces(index_set: tuple) -> tuple[Face, ...]:
+    # one shared tuple of faces per index set, so cache entries share them
+    return tuple(subsets(index_set)[:-1])
+
+
 def ic_cutoffs(P: Parabolic, w: WeylElement, kind: str) -> dict[Face, int]:
     """Shifted-perversity cutoff p(Q) - l_Q(w) for every proper face."""
-    out = {}
-    for a in subsets(P.restricted_indices):
-        if a == frozenset(P.restricted_indices):
-            continue
+    faces = _proper_faces(P.restricted_indices)
+    return dict(zip(faces, _ic_cutoff_values(P, w, kind)))
+
+
+@lru_cache(maxsize=None)
+def _ic_cutoff_values(P: Parabolic, w: WeylElement, kind: str) -> tuple:
+    values = []
+    for a in _proper_faces(P.restricted_indices):
         Q = face_parabolic(P, a)
         _, p = codim_and_perversity(Q, kind)
-        out[a] = p - bidegree(w, Q)
-    return out
+        values.append(p - bidegree(w, Q))
+    return tuple(values)
+
+
+@lru_cache(maxsize=None)
+def _min_rep(w: WeylElement, P: Parabolic, Q: Parabolic) -> WeylElement:
+    # P is part of the key: equality of Weyl elements compares matrices only
+    return factorize(w, P, Q)[1]
 
 
 def wc_keep(
@@ -79,7 +99,7 @@ def wc_keep(
     Q = face_parabolic(P, a)
     if Q.is_full:
         return True
-    _, wQ = factorize(w, P, Q)
+    wQ = _min_rep(w, P, Q)
     rho = P.system.rho
     target = wQ.apply_coords(tuple(x + r for x, r in zip(lam, rho)))
     rest = [target[i] for i in Q.restricted_indices]
@@ -92,37 +112,71 @@ def wc_cutoffs(
     P: Parabolic, w: WeylElement, lam: Vec, profile: str
 ) -> dict[Face, float]:
     """All-or-nothing cutoff map for the weight-truncated family."""
-    out = {}
-    for a in subsets(P.restricted_indices):
-        if a == frozenset(P.restricted_indices):
-            continue
-        out[a] = inf if wc_keep(P, w, lam, a, profile) else -inf
-    return out
+    return {
+        a: inf if wc_keep(P, w, lam, a, profile) else -inf
+        for a in _proper_faces(P.restricted_indices)
+    }
+
+
+def thread_key(
+    family: str, P: Parabolic, w: WeylElement, *, kind=None, profile=None,
+    lam: Vec | None = None, order=None,
+) -> tuple:
+    """The cutoff profile of a thread: (index set, cutoffs, order).
+
+    The cutoffs are those of the proper faces in subsets order; threads
+    with equal profiles are equal modules.  The pushforward is the profile
+    with every cutoff +inf.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family == "pushforward":
+        cuts = (inf,) * len(_proper_faces(P.restricted_indices))
+    elif family == "ic":
+        if kind not in ("m", "n"):
+            raise ValueError("perversity kind must be 'm' or 'n'")
+        cuts = _ic_cutoff_values(P, w, kind)
+    elif lam is None:
+        raise ValueError("weight-truncated family needs the highest weight")
+    else:
+        cuts = tuple(wc_cutoffs(P, w, lam, profile).values())
+    order = None if order is None else tuple(Face(a) for a in order)
+    return P.restricted_indices, cuts, order
+
+
+def _build(key) -> PosetModule:
+    index_set, cuts, order = key
+    return ic_module(index_set, dict(zip(_proper_faces(index_set), cuts)), order)
 
 
 def build_thread(
-    family: str,
-    P: Parabolic,
-    w: WeylElement,
-    *,
-    kind: str | None = None,
-    profile: str | None = None,
-    lam: Vec | None = None,
-    order=None,
+    family: str, P: Parabolic, w: WeylElement, *, kind=None, profile=None,
+    lam: Vec | None = None, order=None,
 ) -> PosetModule:
     """Build the isotypical thread of w over the face poset of P."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    index_set = P.restricted_indices
-    if family == "pushforward":
-        return pushforward_module(index_set)
-    if family == "ic":
-        if kind not in ("m", "n"):
-            raise ValueError("perversity kind must be 'm' or 'n'")
-        return ic_module(index_set, ic_cutoffs(P, w, kind), order=order)
-    if lam is None:
-        raise ValueError("weight-truncated family needs the highest weight")
-    return ic_module(index_set, wc_cutoffs(P, w, lam, profile), order=order)
+    return _build(
+        thread_key(family, P, w, kind=kind, profile=profile, lam=lam, order=order)
+    )
+
+
+# at most the last four builds, so a window and its attaching rank share one
+_thread_module = lru_cache(maxsize=4)(_build)
+
+
+@lru_cache(maxsize=None)
+def thread_local_cohomology(key: tuple, a: Face) -> GradedAbelian:
+    """Supported local cohomology at a of the thread with the given profile."""
+    return supported_local_cohomology(_thread_module(key), a)
+
+
+@lru_cache(maxsize=None)
+def _attaching_items(key, a1, a2):
+    return tuple(attaching_map_rank(_thread_module(key), a1, a2).items())
+
+
+def thread_attaching_rank(key: tuple, a1: Face, a2: Face) -> dict[int, int]:
+    """Per-degree attaching-map rank of the thread with the given profile."""
+    return dict(_attaching_items(key, a1, a2))
 
 
 def ic_module_with_marks(
@@ -134,15 +188,5 @@ def ic_module_with_marks(
     cohomology there has a class above the cutoff.  The marks identify the
     dot/line picture a shifted perversity realizes.
     """
-    module = pushforward_module(index_set)
-    faces = [a for a in subsets(index_set) if a != frozenset(index_set)]
-    if order is None:
-        order = sorted(faces, key=face_key, reverse=True)
-    marks = {}
-    for a in order:
-        cx, _ = local_complex(module, a)
-        h = cx.cohomology()
-        cut = cutoffs[a]
-        marks[a] = any(d > cut for d in h.degrees())
-        module = truncate_at(module, a, cut)
-    return module, marks
+    marks: dict[Face, bool] = {}
+    return _successive_truncation(index_set, cutoffs, order, marks), marks

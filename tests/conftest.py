@@ -2,6 +2,18 @@ import os
 
 import pytest
 
+from weylcoh import threads
+
+# every per-process cache of the thread layer
+THREAD_CACHES = (
+    threads._proper_faces,
+    threads._ic_cutoff_values,
+    threads._min_rep,
+    threads._thread_module,
+    threads.thread_local_cohomology,
+    threads._attaching_items,
+)
+
 
 def pytest_configure(config):
     config.addinivalue_line(
@@ -19,3 +31,14 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "exhaustive" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def clear_thread_caches():
+    """A function that empties every thread-layer cache (a cold start)."""
+
+    def clear():
+        for cache in THREAD_CACHES:
+            cache.cache_clear()
+
+    return clear

@@ -4,7 +4,9 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from conftest import THREAD_CACHES
 
+from weylcoh import threads
 from weylcoh.microsupport import (
     RealFormOracle,
     classify_fundamental,
@@ -111,3 +113,98 @@ def test_degree_bounds_bracket_entries():
     half = Fraction(oracle.dimD(parabolic(sys, (0, 1))), 2)
     # the trivial class alone contributes the symmetric middle window
     assert lo <= half <= hi
+
+
+# -- per-process caches of the thread layer ------------------------------
+
+CACHE_CASES = [
+    (typ, rank, lam, family, kw)
+    for typ, rank, lam in [
+        ("A", 2, (1, 1)),
+        ("A", 3, (1, 0, 1)),
+        ("C", 2, (0, 0)),
+        ("C", 3, (0, 0, 0)),
+        ("C", 3, (1, 0, 1)),
+    ]
+    for family, kw in [
+        ("ic", {"kind": "m"}),
+        ("ic", {"kind": "n"}),
+        ("wc", {"profile": "mu"}),
+        ("wc", {"profile": "nu"}),
+        ("pushforward", {}),
+    ]
+]
+
+
+def _entries(typ, rank, lam, family, kw):
+    sys = build_root_system(typ, rank)
+    return [(repr(e), e.cls.mu) for e in micro_support(family, lam, sys, **kw)]
+
+
+def test_cache_list_covers_every_thread_cache():
+    defined = {
+        f for f in vars(threads).values()
+        if hasattr(f, "cache_clear") and f.__module__ == threads.__name__
+    }
+    assert defined == set(THREAD_CACHES)
+
+
+def test_micro_support_same_cold_and_warm(clear_thread_caches):
+    cold = []
+    for case in CACHE_CASES:
+        clear_thread_caches()
+        cold.append(_entries(*case))
+    # every case again without clearing, after the cases before it
+    warm = [_entries(*case) for case in CACHE_CASES]
+    assert warm == cold
+
+
+def test_second_call_builds_no_module(monkeypatch, clear_thread_caches):
+    built = []
+    real = threads.ic_module
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(threads, "ic_module", counting)
+    clear_thread_caches()
+    for case in [
+        ("C", 3, (1, 0, 1), "ic", {"kind": "m"}),
+        ("C", 3, (1, 0, 1), "wc", {"profile": "nu"}),
+        ("C", 2, (0, 0), "pushforward", {}),
+    ]:
+        start = len(built)
+        first = _entries(*case)
+        cold_builds = len(built)
+        assert cold_builds > start
+        assert _entries(*case) == first
+        assert len(built) == cold_builds
+
+
+def test_returned_dicts_are_private_copies():
+    sys = build_root_system("C", 3)
+    P = parabolic(sys, ())
+    w = sys.from_word((0, 1, 2))
+    cuts = threads.ic_cutoffs(P, w, "m")
+    expected = dict(cuts)
+    cuts[frozenset()] = 99
+    del cuts[frozenset({0})]
+    assert threads.ic_cutoffs(P, w, "m") == expected
+
+    key = threads.thread_key("ic", P, sys.identity_element(), kind="n")
+    full = frozenset(P.restricted_indices)
+    ranks = threads.thread_attaching_rank(key, full, full)
+    assert ranks == {0: 1}
+    ranks[0] = -1
+    ranks[99] = 1
+    assert threads.thread_attaching_rank(key, full, full) == {0: 1}
+
+
+def test_min_rep_cache_keeps_systems_apart():
+    # the identities of A2 and C2 are equal as Weyl elements
+    a2, c2 = build_root_system("A", 2), build_root_system("C", 2)
+    assert a2.identity_element() == c2.identity_element()
+    for sys in (a2, c2):
+        P, Q = parabolic(sys, ()), parabolic(sys, (0,))
+        assert threads._min_rep(sys.identity_element(), P, Q).system == sys

@@ -65,3 +65,20 @@ def test_reports_are_deterministic():
     a = strip(run_suite("rank3-table").to_dict())
     b = strip(run_suite("rank3-table").to_dict())
     assert a == b
+
+
+def test_thread_caches_leave_suite_checks_unchanged(clear_thread_caches):
+    def checks(name):
+        return [
+            (c.name, c.tag, c.expected, c.got, c.passed)
+            for c in run_suite(name).checks
+        ]
+
+    names = ("ms-ic", "ms-wc", "deligne")
+    cold = {}
+    for name in names:
+        clear_thread_caches()
+        cold[name] = checks(name)
+    # again without clearing: each run follows runs of the other suites
+    warm = {name: checks(name) for name in names}
+    assert warm == cold

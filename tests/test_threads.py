@@ -130,3 +130,29 @@ def test_marks_match_module_values():
             cx1, _ = local_complex(exact, frozenset())
             cx2, _ = local_complex(aon, frozenset())
             assert repr(cx1.cohomology()) == repr(cx2.cohomology())
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        [frozenset({0})],  # not every proper face
+        [frozenset(), frozenset({0}), frozenset({1})],  # increasing dimension
+    ],
+)
+def test_bad_order_raises_with_and_without_marks(order):
+    from weylcoh.posetmod import ic_module
+
+    idx = (0, 1)
+    cuts = {a: 0 for a in subsets(idx) if a != frozenset(idx)}
+    with pytest.raises(ValueError):
+        ic_module(idx, cuts, order=order)
+    with pytest.raises(ValueError):
+        ic_module_with_marks(idx, cuts, order=order)
+
+
+def test_marks_follow_an_explicit_order():
+    idx = (0, 1)
+    cuts = {frozenset(): -inf, frozenset({0}): inf, frozenset({1}): -inf}
+    order = [frozenset({1}), frozenset({0}), frozenset()]
+    _, marks = ic_module_with_marks(idx, cuts, order=order)
+    assert list(marks) == order
