@@ -121,9 +121,10 @@ class ChainComplex:
                     raise AssertionError(f"d.d != 0 at degree {deg}")
 
     def cohomology(self) -> GradedAbelian:
+        # a degree with no stored differential maps by zero: no divisors
         divisors = {
-            deg: snf.snf_divisors(self.diff(deg))
-            for deg in self.ranks
+            deg: snf.snf_divisors(d)
+            for deg, d in self.diffs.items()
             if self.rank(deg)
         }
         out = {}

@@ -1,7 +1,9 @@
 """Exact integer and rational linear algebra.
 
 Matrices are tuples of row tuples over int or Fraction.  Everything here is
-exact: no floating point is used anywhere in the package.
+exact: no floating point is used anywhere in the package.  `qq_rank`,
+`echelon`, `kernel_basis` and `solve` accept int or Fraction entries;
+`snf_divisors` takes int entries only.
 """
 
 from __future__ import annotations
@@ -80,9 +82,58 @@ def echelon(mat: Iterable[Sequence]) -> tuple[list[list[int]], list[int], int]:
     return rows, pivots, d
 
 
+def _unit_reduce(mat: Matrix) -> tuple[int, list[list]]:
+    """Pivot on +-1 entries until none is left (Kaczynski-Mrozek-Slusarek).
+
+    Each step takes the unit entry of least fill-in, (row nnz - 1) *
+    (column nnz - 1), and replaces the matrix by its Schur complement; a
+    unit pivot gives SNF(A) = 1 + SNF(A').  Returns the number of pivots
+    and the dense remainder over its nonzero rows and columns.
+    """
+    rows = {i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(mat)}
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    units = 0
+    while True:
+        best = None
+        for i, row in rows.items():
+            rc = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = rc * (len(cols[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        prow = rows.pop(pi)
+        p = prow.pop(pj)
+        for j in prow:
+            cols[j].discard(pi)
+        for i in cols.pop(pj) - {pi}:
+            row = rows[i]
+            f = row.pop(pj) * p
+            for j, y in prow.items():
+                v = row.get(j, 0) - f * y
+                if v:
+                    row[j] = v
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        units += 1
+    keep = sorted(j for j, rs in cols.items() if rs)
+    return units, [[row.get(j, 0) for j in keep] for row in rows.values() if row]
+
+
 def qq_rank(mat: Matrix) -> int:
-    """Rank over the rationals by fraction-free elimination."""
-    return len(echelon(mat)[1])
+    """Rank over the rationals: unit pivots, then fraction-free elimination."""
+    units, rest = _unit_reduce(mat)
+    return units + len(echelon(rest)[1])
 
 
 def kernel_basis(
@@ -96,9 +147,10 @@ def kernel_basis(
     if ncols is None:
         ncols = shape(mat)[1]
     rows, pivots, d = echelon(mat)
+    pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
-        if fc in pivots:
+        if fc in pivot_set:
             continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
@@ -132,63 +184,50 @@ def column_span_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
 
 
 def snf_divisors(mat: Matrix) -> list[int]:
-    """Nonzero diagonal entries d1 | d2 | ... of the Smith normal form."""
-    a = [list(row) for row in mat]
+    """Nonzero diagonal entries d1 | d2 | ... of the Smith normal form.
+
+    Unit pivots are eliminated first; the dense Smith loop below sees only
+    the remainder.  Each round moves the entry of least absolute value to
+    (top, top) and clears its column by row operations before its row, so
+    the column operations change row top alone and leave the rest of the
+    block as it is.  A remainder restarts the round with a smaller pivot.
+    """
+    units, a = _unit_reduce(mat)
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    divisors: list[int] = []
+    divisors = [1] * units
     top = 0
     while True:
-        piv = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
+        nonzero = [
+            (abs(a[i][j]), i, j)
+            for i in range(top, nrows)
+            for j in range(top, ncols)
+            if a[i][j]
+        ]
+        if not nonzero:
+            return divisors
+        _, pi, pj = min(nonzero)
         a[top], a[pi] = a[pi], a[top]
         for row in a:
             row[top], row[pj] = row[pj], row[top]
-        # clear row and column with Euclidean steps
-        while True:
-            done = True
-            for i in range(top + 1, nrows):
-                if a[i][top]:
-                    q = a[i][top] // a[top][top]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        done = False
-            for j in range(top + 1, ncols):
-                if a[top][j]:
-                    q = a[top][j] // a[top][top]
-                    for row in a:
-                        row[j] -= q * row[top]
-                    if a[top][j]:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-                        done = False
-            if done:
-                break
+        prow = a[top]
+        p = prow[top]
+        for i in range(top + 1, nrows):
+            q = a[i][top] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], prow)]
+        if any(a[i][top] for i in range(top + 1, nrows)):
+            continue
+        prow[top + 1:] = [x % p for x in prow[top + 1:]]
+        if any(prow[top + 1:]):
+            continue
         # enforce divisibility of the remaining block by the pivot
-        d = abs(a[top][top])
         bad = next(
-            (
-                (i, j)
-                for i in range(top + 1, nrows)
-                for j in range(top + 1, ncols)
-                if a[i][j] % d
-            ),
+            (row for row in a[top + 1:] if any(x % p for x in row[top + 1:])),
             None,
         )
         if bad is not None:
-            bi, _ = bad
-            a[top] = [x + y for x, y in zip(a[top], a[bi])]
+            a[top] = [x + y for x, y in zip(prow, bad)]
             continue
-        divisors.append(d)
+        divisors.append(abs(p))
         top += 1
-    return divisors

@@ -24,6 +24,7 @@ from weylcoh.posetmod import (
     supported_local_cohomology,
     truncate_at,
 )
+from weylcoh.snf import mat_mul
 
 CUT_VALUES = [-inf, -2, -1, 0, 1, 2, inf]
 
@@ -53,6 +54,42 @@ def test_chain_complex_torsion():
     h = cx.cohomology()
     assert h.free_rank(0) == 0 and h.free_rank(1) == 0
     assert h.torsion(1) == (2,)
+
+
+def _unimodular(n, rng):
+    """A random integer n x n matrix of determinant +-1, and its inverse."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        # u <- (1 + c e_ij) u and inv <- inv (1 - c e_ij)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return u, inv
+
+
+def test_chain_complex_torsion_behind_unit_entries():
+    # Z^2 -> Z^3 -> Z^2 with e1 -> f1, f2 -> g1 and f3 -> 2 g2 has
+    # H^0 = Z and H^2 = Z/2; a change of basis in every degree mixes the
+    # 2 with entries +-1, which are eliminated before the Smith step
+    rng = random.Random(5)
+    mixed = 0
+    for _ in range(20):
+        (u0, u0inv), (u1, u1inv), (u2, _) = (
+            _unimodular(n, rng) for n in (2, 3, 2)
+        )
+        d0 = mat_mul(mat_mul(u1, ((1, 0), (0, 0), (0, 0))), u0inv)
+        d1 = mat_mul(mat_mul(u2, ((0, 1, 0), (0, 0, 2))), u1inv)
+        mixed += any(abs(x) == 1 for row in d1 for x in row)
+        cx = ChainComplex({0: 2, 1: 3, 2: 2}, {0: d0, 1: d1})
+        cx.check()
+        h = cx.cohomology()
+        assert h.degrees() == [0, 2]
+        assert h.free_rank(0) == 1 and h.torsion(0) == ()
+        assert h.free_rank(2) == 0 and h.torsion(2) == (2,)
+    assert mixed
 
 
 def test_pushforward_base_value():

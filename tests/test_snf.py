@@ -1,11 +1,13 @@
 """Exact linear algebra: ranks, kernels, solves, and elementary divisors.
 
 The oracles are brute force: determinants by cofactor expansion and the
-k x k minors of every row and column choice.
+k x k minors of every row and column choice.  Matrices too large for the
+minors are checked against a dense Smith loop with no unit-pivot phase.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,11 +33,11 @@ def test_qq_rank_basics():
     assert snf.qq_rank(()) == 0
 
 
-def _matrices(entries, square=False):
-    """Matrices up to 5x5 with the given entries, as tuples of rows."""
-    dims = st.tuples(st.integers(1, 5), st.integers(1, 5))
+def _matrices(entries, square=False, max_dim=5):
+    """Matrices up to max_dim square with the given entries, as row tuples."""
+    dims = st.tuples(st.integers(1, max_dim), st.integers(1, max_dim))
     if square:
-        dims = st.integers(1, 5).map(lambda n: (n, n))
+        dims = st.integers(1, max_dim).map(lambda n: (n, n))
     return dims.flatmap(
         lambda rc: st.lists(
             st.lists(entries, min_size=rc[1], max_size=rc[1]),
@@ -91,14 +93,18 @@ def test_divisor_chain_and_rank(mat):
         assert b % a == 0
 
 
-@given(int_matrices)
-@settings(max_examples=150, deadline=None)
-def test_divisors_are_determinantal_divisors(mat):
+def _determinantal_divisors(mat):
     # d_k = g_k / g_(k-1), g_k the gcd of the k x k minors (g_0 = 1)
     g = [1]
     for k in range(1, _rank(mat) + 1):
         g.append(math.gcd(*_minors(mat, k)))
-    assert snf.snf_divisors(mat) == [b // a for a, b in zip(g, g[1:])]
+    return [b // a for a, b in zip(g, g[1:])]
+
+
+@given(int_matrices)
+@settings(max_examples=150, deadline=None)
+def test_divisors_are_determinantal_divisors(mat):
+    assert snf.snf_divisors(mat) == _determinantal_divisors(mat)
 
 
 @given(square_int_matrices)
@@ -115,6 +121,97 @@ def test_divisor_product_is_determinant(mat):
 @given(qq_matrices)
 @settings(max_examples=150, deadline=None)
 def test_qq_rank_is_largest_nonzero_minor(mat):
+    assert snf.qq_rank(mat) == _rank(mat)
+
+
+def _dense_divisors(mat):
+    """The Smith loop of snf_divisors run on the whole matrix."""
+    a = [list(row) for row in mat]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    divisors = []
+    top = 0
+    while True:
+        nonzero = [
+            (abs(a[i][j]), i, j)
+            for i in range(top, nrows)
+            for j in range(top, ncols)
+            if a[i][j]
+        ]
+        if not nonzero:
+            return divisors
+        _, pi, pj = min(nonzero)
+        a[top], a[pi] = a[pi], a[top]
+        for row in a:
+            row[top], row[pj] = row[pj], row[top]
+        prow = a[top]
+        p = prow[top]
+        for i in range(top + 1, nrows):
+            q = a[i][top] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], prow)]
+        if any(a[i][top] for i in range(top + 1, nrows)):
+            continue
+        prow[top + 1:] = [x % p for x in prow[top + 1:]]
+        if any(prow[top + 1:]):
+            continue
+        bad = next(
+            (row for row in a[top + 1:] if any(x % p for x in row[top + 1:])),
+            None,
+        )
+        if bad is not None:
+            a[top] = [x + y for x, y in zip(prow, bad)]
+            continue
+        divisors.append(abs(p))
+        top += 1
+
+
+# mostly zero, as the boundary matrices of the poset complexes are
+sparse_entries = st.sampled_from((0, 0, 0, 0, 1, -1, 1, -1, 2, -2))
+
+
+@given(_matrices(sparse_entries, max_dim=12))
+@settings(max_examples=150, deadline=None)
+def test_divisors_match_dense_smith_on_sparse_matrices(mat):
+    assert snf.snf_divisors(mat) == _dense_divisors(mat)
+    assert snf.qq_rank(mat) == len(_dense_divisors(mat))
+
+
+@given(_matrices(st.sampled_from((0, 0, 2, -2, 3, 4, -6))))
+@settings(max_examples=100, deadline=None)
+def test_divisors_without_unit_entries(mat):
+    # the unit phase finds no pivot and hands the whole matrix on
+    assert snf.snf_divisors(mat) == _determinantal_divisors(mat)
+
+
+@given(
+    _matrices(st.sampled_from((0, 1, -1))),
+    _matrices(st.sampled_from((0, 2, -2, 4))),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_divisors_of_unit_block_glued_to_even_block(units, even, rnd):
+    # [[U, C], [0, E]] with E even, rows and columns shuffled: pivoting on
+    # the entries of U leaves even torsion in the remainder
+    width = len(units[0]) + len(even[0])
+    mat = [u + tuple(rnd.choice((0, 1, -1)) for _ in even[0]) for u in units]
+    mat += [(0,) * len(units[0]) + e for e in even]
+    rnd.shuffle(mat)
+    perm = list(range(width))
+    rnd.shuffle(perm)
+    mat = tuple(tuple(row[j] for j in perm) for row in mat)
+    assert snf.snf_divisors(mat) == _dense_divisors(mat)
+
+
+unit_rationals = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1), Fraction(-1))),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@given(_matrices(unit_rationals))
+@settings(max_examples=150, deadline=None)
+def test_qq_rank_pivots_on_fraction_units(mat):
     assert snf.qq_rank(mat) == _rank(mat)
 
 
