@@ -27,6 +27,7 @@ from .roots import (
     codim_and_perversity,
     dim_nilradical,
     parabolic,
+    weyl_group_order,
 )
 from .satake import (
     SatakeDatum,
@@ -40,6 +41,9 @@ from .threads import PROFILES
 from math import inf
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+
+# most Kostant classes a kostant or microsupport call will enumerate
+MAX_CLASSES = 10**6
 
 
 class UsageError(ValueError):
@@ -96,6 +100,19 @@ def _parse_lambda(text: str, rank: int) -> tuple:
             f"need {rank} nonnegative fundamental coordinates, got {text!r}"
         )
     return coords
+
+
+def _check_class_count(system, levis) -> None:
+    """Refuse, before enumerating, more than MAX_CLASSES classes in all.
+
+    Each Levi L contributes |W| / |W_L| minimal coset representatives.
+    """
+    order = weyl_group_order(system, range(system.rank))
+    count = sum(order // weyl_group_order(system, levi) for levi in levis)
+    if count > MAX_CLASSES:
+        raise UsageError(
+            f"{count} Kostant classes to enumerate, above the limit of {MAX_CLASSES}"
+        )
 
 
 def _face_name(a) -> str:
@@ -180,6 +197,7 @@ def cmd_roots(cfg: RunConfig, out) -> int:
 
 def cmd_kostant(cfg: RunConfig, out) -> int:
     system = build_root_system(cfg.cartan_type, cfg.rank)
+    _check_class_count(system, [cfg.levi])
     P = parabolic(system, cfg.levi)
     rows = []
     for c in kostant_decomposition(cfg.lam, P):
@@ -214,6 +232,7 @@ def cmd_kostant(cfg: RunConfig, out) -> int:
 
 def cmd_microsupport(cfg: RunConfig, out) -> int:
     system = build_root_system(cfg.cartan_type, cfg.rank)
+    _check_class_count(system, subsets(range(system.rank)))
     entries = micro_support(
         cfg.family,
         cfg.lam,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .roots import (
     Parabolic,
@@ -26,6 +25,7 @@ from .roots import (
     levi_split,
     longest_levi_element,
     parabolic,
+    scaled_lam_rho,
 )
 
 
@@ -115,10 +115,9 @@ class KostantClass:
 
 def kostant_class(P: Parabolic, w: WeylElement, lam) -> KostantClass:
     """The class of w for the highest weight lam (simple-root coordinates)."""
-    lam_rho = tuple(a + r for a, r in zip(lam, P.system.rho))
-    return KostantClass(
-        P=P, w=w, lam=lam, wlr=w.apply_coords(lam_rho), degree=w.length()
-    )
+    lam_rho, d = scaled_lam_rho(P.system, lam)
+    wlr = tuple(Fraction(x, d) for x in w.apply_coords(lam_rho))
+    return KostantClass(P=P, w=w, lam=lam, wlr=wlr, degree=w.length())
 
 
 def kostant_decomposition(lam_coords, P: Parabolic) -> list[KostantClass]:
@@ -138,23 +137,22 @@ def kostant_decomposition(lam_coords, P: Parabolic) -> list[KostantClass]:
     return [kostant_class(P, w, lam) for w in enumerate_min_coset_reps(P)]
 
 
-@lru_cache(maxsize=None)
-def _longest_levi(system: RootSystem, levi: frozenset) -> WeylElement:
-    return longest_levi_element(system, levi)
-
-
 def levi_self_dual(system: RootSystem, levi: frozenset, mu) -> bool:
     """Whether the opposition involution of the Levi fixes mu's Levi part.
 
     mu is in simple-root coordinates.  True iff minus the longest element
     of the Levi Weyl group fixes the projection of mu onto the Levi root
-    span; a zero projection passes vacuously.
+    span; a zero projection passes vacuously.  -w0 permutes the Levi simple
+    roots, -w0(alpha_i) = alpha_sigma(i), so it fixes the projection iff
+    the projection's coordinates agree at i and sigma(i).
     """
     part = levi_part(system, levi, mu)
     if all(x == 0 for x in part):
         return True
-    w0 = _longest_levi(system, levi)
-    return tuple(-x for x in w0.apply_coords(part)) == part
+    perm = longest_levi_element(system, levi).perm
+    # w0(alpha_i) = -alpha_sigma(i): coordinate -1 at sigma(i), 0 elsewhere
+    sigma = {i: system.roots[perm[system.simple_indices[i]]].index(-1) for i in levi}
+    return all(part[sigma[i]] == part[i] for i in levi)
 
 
 def is_self_contragredient(c: KostantClass) -> bool:

@@ -6,8 +6,11 @@ Cartan matrix: the positive roots, rho, the fundamental weights and the
 Levi splits that project a weight onto a Levi root span.  The standard
 orthonormal-coordinate realization of types A, B and C is kept only as the
 output edge (simple_roots, from_simple_coords, simple_coords and
-WeylElement.apply).  Weyl elements are canonicalized by their integer
-action matrix on the simple-root basis; reduced words are recovered on
+WeylElement.apply).  A Weyl element is carried as the permutation it induces
+on the roots (Casselman, "Machine calculations in Weyl groups", 1994):
+products, inverses, lengths, inversion sets and descents are index tests,
+and the integer action matrix is derived from the images of the simple
+roots only where a vector is acted on.  Reduced words are recovered on
 demand.
 
 All groups are treated as split over Q: rational, real and complex roots
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Optional
 
 from .snf import solve
@@ -64,7 +68,10 @@ class RootSystem:
     gram is the integer matrix of the invariant form on the simple roots and
     cartan[i][j] = <alpha_i, alpha_j^vee>.  positive_roots are integer
     simple-root coordinates, ordered by height then lexicographically; rho
-    is the half-sum of the positive roots in the same coordinates.
+    is the half-sum of the positive roots in the same coordinates.  roots
+    lists the positive roots and then their negatives in the same order, so
+    index k is positive iff k < len(positive_roots); root_index inverts it
+    and simple_indices holds the index of each simple root.
     """
 
     def __init__(self, cartan_type: str, rank: int):
@@ -86,9 +93,6 @@ class RootSystem:
             tuple(2 * g[i][j] // g[j][j] for j in range(rank)) for i in range(rank)
         )
         self._cartan_inv = _invert(self.cartan)
-        self._reflections = tuple(
-            self._simple_reflection_matrix(i) for i in range(rank)
-        )
         self._build_roots()
         self.rho = tuple(
             Fraction(sum(col), 2) for col in zip(*self.positive_roots)
@@ -97,16 +101,22 @@ class RootSystem:
 
     # -- construction -----------------------------------------------------
 
+    def _reflect(self, i: int, r: tuple) -> tuple:
+        # s_i(r) = r - <r, alpha_i^vee> alpha_i changes coordinate i only
+        out = list(r)
+        out[i] -= sum(c * row[i] for c, row in zip(r, self.cartan))
+        return tuple(out)
+
     def _build_roots(self) -> None:
         n = self.rank
-        seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-        frontier = list(seen)
-        reflections = [self.simple_reflection(i) for i in range(n)]
+        simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        seen = set(simple)
+        frontier = simple
         while frontier:
             nxt = []
             for r in frontier:
-                for s in reflections:
-                    img = s.apply_coords(r)
+                for i in range(n):
+                    img = self._reflect(i, r)
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)
@@ -114,14 +124,18 @@ class RootSystem:
         pos = [r for r in seen if all(c >= 0 for c in r)]
         pos.sort(key=lambda r: (sum(r), r))
         self.positive_roots = tuple(pos)
-
-    def _simple_reflection_matrix(self, i: int) -> tuple[tuple[int, ...], ...]:
-        n = self.rank
-        rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        for j in range(n):
-            # s_i(a_j) = a_j - <a_j, a_i^vee> a_i; the diagonal becomes -1
-            rows[i][j] -= self.cartan[j][i]
-        return tuple(tuple(r) for r in rows)
+        self.roots = self.positive_roots + tuple(
+            tuple(-c for c in r) for r in pos
+        )
+        self.root_index = {r: k for k, r in enumerate(self.roots)}
+        self.simple_indices = tuple(self.root_index[r] for r in simple)
+        self._identity = WeylElement(self, tuple(range(len(self.roots))))
+        self._reflections = tuple(
+            WeylElement(
+                self, tuple(self.root_index[self._reflect(i, r)] for r in self.roots)
+            )
+            for i in range(n)
+        )
 
     def _validate(self) -> None:
         n = self.rank
@@ -198,20 +212,30 @@ class RootSystem:
     # -- Weyl elements -----------------------------------------------------
 
     def identity_element(self) -> "WeylElement":
-        n = self.rank
-        mat = tuple(
-            tuple(1 if r == c else 0 for c in range(n)) for r in range(n)
-        )
-        return WeylElement(self, mat, word=())
+        return self._identity
 
     def simple_reflection(self, i: int) -> "WeylElement":
-        return WeylElement(self, self._reflections[i], word=(i,))
+        return self._reflections[i]
 
     def from_word(self, word: Iterable[int]) -> "WeylElement":
-        w = self.identity_element()
+        w = self._identity
         for i in word:
-            w = w * self.simple_reflection(i)
+            w = w * self._reflections[i]
         return w
+
+    def from_simple_images(self, images) -> "WeylElement":
+        """The element sending simple root j to the root images[j].
+
+        images[j] is in simple-root coordinates; the images must be those of
+        a Weyl element, or some root has no image among the roots.
+        """
+        n = self.rank
+        return WeylElement(self, tuple(
+            self.root_index[tuple(
+                sum(c * img[i] for c, img in zip(r, images)) for i in range(n)
+            )]
+            for r in self.roots
+        ))
 
 
 @lru_cache(maxsize=None)
@@ -225,47 +249,48 @@ def _invert(mat) -> tuple[tuple[Fraction, ...], ...]:
     return solve(mat, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
+@lru_cache(maxsize=None)
+def scaled_lam_rho(system: RootSystem, lam: Vec) -> tuple[tuple[int, ...], int]:
+    """(d * (lam + rho), d) with d the least denominator making it integral.
+
+    lam is in simple-root coordinates; d > 0, so signs are those of lam + rho.
+    """
+    lam_rho = [a + r for a, r in zip(lam, system.rho)]
+    d = lcm(*(x.denominator for x in lam_rho))
+    return tuple(int(x * d) for x in lam_rho), d
+
+
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element, canonicalized by its action on the simple basis.
+    """A Weyl group element, carried as the permutation it induces on roots.
 
-    matrix[i][j] is the coefficient of alpha_i in w(alpha_j).  Equality and
-    hashing use the matrix only; the word is advisory and not necessarily
-    reduced unless produced by reduced_word.
+    perm[k] is the index of w(roots[k]) in system.roots.  Equality and
+    hashing use the permutation only.
     """
 
     system: RootSystem = field(repr=False, compare=False)
-    matrix: tuple[tuple[int, ...], ...] = ()
-    word: Optional[tuple[int, ...]] = field(default=None, compare=False)
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
+    perm: tuple[int, ...] = ()
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        a, b = self.matrix, other.matrix
-        n = len(a)
-        bt = list(zip(*b))
-        mat = tuple(
-            tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-            for r in range(n)
-        )
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return WeylElement(self.system, mat, word=word)
+        return WeylElement(self.system, tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self) -> "WeylElement":
-        inv = _invert(self.matrix)
-        mat = tuple(tuple(int(x) for x in row) for row in inv)
-        word = tuple(reversed(self.word)) if self.word is not None else None
-        return WeylElement(self.system, mat, word=word)
+        inv = [0] * len(self.perm)
+        for k, p in enumerate(self.perm):
+            inv[p] = k
+        return WeylElement(self.system, tuple(inv))
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """matrix[i][j] is the coefficient of alpha_i in w(alpha_j)."""
+        roots = self.system.roots
+        cols = [roots[self.perm[s]] for s in self.system.simple_indices]
+        return tuple(zip(*cols))
 
     def apply_coords(self, coords) -> tuple:
         """Action on a vector given in simple-root coordinates."""
-        n = len(self.matrix)
         return tuple(
-            sum(self.matrix[r][c] * coords[c] for c in range(n))
-            for r in range(n)
+            sum(m * c for m, c in zip(row, coords)) for row in self.matrix
         )
 
     def apply(self, v: Vec) -> Vec:
@@ -277,22 +302,15 @@ class WeylElement:
         return tuple(x - y + z for x, y, z in zip(v, span, img))
 
     def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return all(
-            self.matrix[r][c] == (1 if r == c else 0)
-            for r in range(n)
-            for c in range(n)
-        )
+        return all(self.perm[s] == s for s in self.system.simple_indices)
 
     def inversions(self) -> list[int]:
-        """Indices of positive roots gamma with w^-1(gamma) negative."""
-        inv = self.inverse()
-        out = []
-        for idx, coords in enumerate(self.system.positive_roots):
-            img = inv.apply_coords(coords)
-            if any(c < 0 for c in img):
-                out.append(idx)
-        return out
+        """Indices of the positive roots -w(beta) with beta > 0, w(beta) < 0.
+
+        These are the positive roots gamma with w^-1(gamma) negative.
+        """
+        npos = len(self.system.positive_roots)
+        return sorted(p - npos for p in self.perm[:npos] if p >= npos)
 
     def length(self) -> int:
         return len(self.inversions())
@@ -301,19 +319,17 @@ class WeylElement:
         """A reduced word recovered by the descent algorithm."""
         w = self
         letters: list[int] = []
-        n = len(self.matrix)
+        n = self.system.rank
         while not w.is_identity():
-            j = next(
-                j for j in range(n)
-                if any(w.matrix[r][j] < 0 for r in range(n))
-            )
+            j = next(j for j in range(n) if w.descends_right(j))
             letters.append(j)
             w = w * self.system.simple_reflection(j)
         return tuple(reversed(letters))
 
     def descends_right(self, j: int) -> bool:
         """True iff l(w s_j) < l(w), i.e. w(alpha_j) is negative."""
-        return any(row[j] < 0 for row in self.matrix)
+        sys = self.system
+        return self.perm[sys.simple_indices[j]] >= len(sys.positive_roots)
 
 
 @dataclass(frozen=True)
@@ -398,45 +414,36 @@ def is_min_coset_rep(w: WeylElement, P: Parabolic) -> bool:
 
 def _first_negative_column(inv: WeylElement, levi) -> Optional[int]:
     """The least i in levi with inv(alpha_i) negative, or None."""
-    rows = inv.matrix
-    return next((i for i in sorted(levi) if any(r[i] < 0 for r in rows)), None)
+    return next((i for i in sorted(levi) if inv.descends_right(i)), None)
 
 
-def enumerate_min_coset_reps(
-    P: Parabolic, max_length: Optional[int] = None
-) -> Iterator[WeylElement]:
+def enumerate_min_coset_reps(P: Parabolic) -> Iterator[WeylElement]:
     """Stream the minimal coset representatives for P in nondecreasing length.
 
     Breadth-first search over right multiplication with ascent filtering;
-    elements are deduplicated by action matrix and yielded, per length, in
+    elements are deduplicated by root permutation and yielded, per length, in
     lexicographic order of their (canonical, reduced) words.
     """
     sys = P.system
-    n = sys.rank
     ident = sys.identity_element()
-    seen = {ident.matrix}
+    seen = {ident.perm}
     frontier = [(ident, ident)]  # (w, w inverse)
-    length = 0
     while frontier:
-        for w, _ in frontier:
-            yield w
-        if max_length is not None and length >= max_length:
-            return
+        yield from (w for w, _ in frontier)
         nxt = []
         for w, winv in frontier:
-            for j in range(n):
+            for j, s in enumerate(sys._reflections):
                 if w.descends_right(j):
                     continue
-                w2 = w * sys.simple_reflection(j)
-                if w2.matrix in seen:
+                w2 = w * s
+                if w2.perm in seen:
                     continue
-                w2inv = sys.simple_reflection(j) * winv
+                w2inv = s * winv
                 if _first_negative_column(w2inv, P.levi) is not None:
                     continue
-                seen.add(w2.matrix)
+                seen.add(w2.perm)
                 nxt.append((w2, w2inv))
         frontier = nxt
-        length += 1
 
 
 def factorize(
@@ -469,6 +476,24 @@ def bidegree(w: WeylElement, Q: Parabolic) -> int:
     return sum(1 for idx in w.inversions() if idx not in levi_pos)
 
 
+def weyl_group_order(system: RootSystem, levi: Iterable[int]) -> int:
+    """Order of the Weyl group generated by the given simple reflections.
+
+    The product over the Dynkin components of the subset: (k+1)! for an A_k
+    component and 2^k k! for the component holding the last node of B or C.
+    """
+    levi, order, k = set(levi), 1, 0
+    last = system.cartan_type != "A"  # in the component of the last node
+    for i in reversed(range(system.rank)):
+        if i not in levi:
+            k, last = 0, False
+            continue
+        k += 1
+        order *= 2 * k if last else k + 1
+    return order
+
+
+@lru_cache(maxsize=None)
 def longest_levi_element(system: RootSystem, levi: frozenset[int]) -> WeylElement:
     """Longest element of the Weyl group generated by the given simple subset."""
     v = system.rho

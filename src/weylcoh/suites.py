@@ -16,7 +16,6 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import inf
 
 from .kostant import (
@@ -365,42 +364,39 @@ def _sp20_face_data(P):
     return rest, masks, roots, faces, pvals, facemat
 
 
+def _sp20_long_roots():
+    """Simple-root coordinates of the long roots 2e_1, ..., 2e_10 of C10.
+
+    2e_a = 2(alpha_a + ... + alpha_9) + alpha_10.
+    """
+    return [
+        tuple(2 * (a <= j < 9) + (j == 9) for j in range(10)) for a in range(10)
+    ]
+
+
 def _sp20_window_of(w):
-    """K-encoded window of w^-1 acting on the standard basis."""
+    """K-encoded window of w^-1: where it sends each long root 2e_a."""
     sys = w.system
-    u = w.inverse()
-    out = []
-    for a in range(10):
-        e = tuple(Fraction(int(i == a)) for i in range(10))
-        img = u.apply(e)
-        (k,) = [i for i, x in enumerate(img) if x]
-        out.append(k + 1 if img[k] > 0 else 21 - (k + 1))
-    return tuple(out)
+    long = [sys.root_index[r] for r in _sp20_long_roots()]
+    npos = len(sys.positive_roots)  # the index of -r is that of r plus npos
+    code = {k: a + 1 for a, k in enumerate(long)}
+    code.update((k + npos, 20 - a) for a, k in enumerate(long))
+    perm = w.inverse().perm
+    return tuple(code[perm[k]] for k in long)
 
 
 def _sp20_element_from_window(sys, kwin):
     """Rebuild the group element whose inverse has the given K-window."""
-    vals = []
-    for k in kwin:
-        vals.append((k, 1) if k <= 10 else (21 - k, -1))
-    # u(e_a) = sign * e_{absval}; express u on the simple roots
-    def img(a):  # ambient image of e_{a+1}, 0-based a
-        k, s = vals[a]
-        return tuple(Fraction(s * int(i == k - 1)) for i in range(10))
-
-    cols = []
-    for j in range(10):
-        if j < 9:
-            v = tuple(x - y for x, y in zip(img(j), img(j + 1)))
-        else:
-            v = tuple(2 * x for x in img(9))
-        cols.append(sys.simple_coords(v))
-    mat = tuple(
-        tuple(int(cols[j][i]) for j in range(10)) for i in range(10)
-    )
-    from .roots import WeylElement
-
-    return WeylElement(sys, mat).inverse()
+    long = _sp20_long_roots()
+    # u(2e_a) = +-2e_k, and alpha_j = (2e_j - 2e_{j+1}) / 2, alpha_10 = 2e_10
+    img = [
+        long[k - 1] if k <= 10 else tuple(-x for x in long[20 - k])
+        for k in kwin
+    ]
+    images = [
+        tuple((x - y) // 2 for x, y in zip(img[j], img[j + 1])) for j in range(9)
+    ] + [img[9]]
+    return sys.from_simple_images(images).inverse()
 
 
 def _sp20_cutoffs_from_window(kwin, roots, faces, pvals, facemat):

@@ -35,6 +35,7 @@ from .roots import (
     codim_and_perversity,
     factorize,
     parabolic,
+    scaled_lam_rho,
 )
 
 FAMILIES = ("pushforward", "ic", "wc")
@@ -73,7 +74,7 @@ def _ic_cutoff_values(P: Parabolic, w: WeylElement, kind: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def _min_rep(w: WeylElement, P: Parabolic, Q: Parabolic) -> WeylElement:
-    # P is part of the key: equality of Weyl elements compares matrices only
+    # P is part of the key: equality of Weyl elements compares permutations only
     return factorize(w, P, Q)[1]
 
 
@@ -99,9 +100,8 @@ def wc_keep(
     Q = face_parabolic(P, a)
     if Q.is_full:
         return True
-    wQ = _min_rep(w, P, Q)
-    rho = P.system.rho
-    target = wQ.apply_coords(tuple(x + r for x, r in zip(lam, rho)))
+    lam_rho, _ = scaled_lam_rho(P.system, lam)
+    target = _min_rep(w, P, Q).apply_coords(lam_rho)
     rest = [target[i] for i in Q.restricted_indices]
     if profile == "nu":
         return all(c >= 0 for c in rest)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from weylcoh import threads
+from weylcoh import roots, threads
 
 # every per-process cache of the thread layer
 THREAD_CACHES = (
@@ -12,6 +12,14 @@ THREAD_CACHES = (
     threads._thread_module,
     threads.thread_local_cohomology,
     threads._attaching_items,
+)
+
+# every per-process cache of the root and Kostant layers
+WEYL_CACHES = (
+    roots.build_root_system,
+    roots.levi_split,
+    roots.scaled_lam_rho,
+    roots.longest_levi_element,
 )
 
 
@@ -35,10 +43,10 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture
 def clear_thread_caches():
-    """A function that empties every thread-layer cache (a cold start)."""
+    """A function that empties every thread, Kostant and root cache (a cold start)."""
 
     def clear():
-        for cache in THREAD_CACHES:
+        for cache in THREAD_CACHES + WEYL_CACHES:
             cache.cache_clear()
 
     return clear

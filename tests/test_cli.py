@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, formats, and example outputs."""
 
 import json
+import time
 
 import pytest
 
@@ -192,4 +193,22 @@ def test_kostant_mu_column_is_pinned(capsys):
         "12\t2\t-7/3,5/3,2/3\t-+\tyes\n"
         "21\t2\t-4/3,-4/3,8/3\t+-\tyes\n"
         "121\t3\t-7/3,-1/3,8/3\t--\tyes\n"
+    )
+
+
+@pytest.mark.parametrize("command,count", [
+    # C10 with an empty Levi has 2^10 10! classes
+    (("kostant",), 3_715_891_200),
+    # every Levi of C10, the empty one included
+    (("microsupport", "--family", "pushforward"), 148_070_287_697),
+])
+def test_enumeration_too_large_is_refused_at_once(capsys, command, count):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, *command, "--type", "C", "--rank", "10", "--lambda", "0" + ",0" * 9,
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: {count} Kostant classes to enumerate, above the limit of 1000000\n"
     )

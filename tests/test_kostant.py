@@ -5,13 +5,23 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from weylcoh.kostant import (
     bracketing_parabolics,
     is_self_contragredient,
     kostant_decomposition,
+    levi_self_dual,
 )
 from weylcoh.posetmod import subsets
-from weylcoh.roots import build_root_system, factorize, parabolic
+from weylcoh.roots import (
+    build_root_system,
+    factorize,
+    levi_part,
+    longest_levi_element,
+    parabolic,
+)
 from weylcoh.snf import solve
 from weylcoh.threads import PROFILES, wc_keep
 
@@ -229,3 +239,23 @@ def test_coordinates_match_ambient_reference(typ):
                     want = _ref_wc_keep(P, c.w, lam_rho, eps, a)
                     for profile in PROFILES:
                         assert wc_keep(P, c.w, c.lam, a, profile) == want[profile]
+
+
+@pytest.mark.parametrize("typ,rank", [("A", 4), ("B", 3), ("C", 4)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_levi_self_dual_matches_longest_element_action(typ, rank, data):
+    # -w0 acting on the Levi projection through its matrix, on weights that
+    # are often forced into the fixed space of -w0
+    sys = build_root_system(typ, rank)
+    levi = frozenset(data.draw(st.sets(st.integers(0, rank - 1))))
+    mu = tuple(
+        Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+        for _ in range(rank)
+    )
+    w0 = longest_levi_element(sys, levi)
+    if data.draw(st.booleans()):
+        mu = tuple(a - b for a, b in zip(mu, w0.apply_coords(mu)))
+    part = levi_part(sys, levi, mu)
+    expected = tuple(-x for x in w0.apply_coords(part)) == part
+    assert levi_self_dual(sys, levi, mu) == expected

@@ -4,9 +4,9 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from conftest import THREAD_CACHES
+from conftest import THREAD_CACHES, WEYL_CACHES
 
-from weylcoh import threads
+from weylcoh import kostant, roots, threads
 from weylcoh.microsupport import (
     RealFormOracle,
     classify_fundamental,
@@ -149,6 +149,14 @@ def test_cache_list_covers_every_thread_cache():
     assert defined == set(THREAD_CACHES)
 
 
+def test_cache_list_covers_every_root_and_kostant_cache():
+    defined = {
+        f for module in (roots, kostant) for f in vars(module).values()
+        if hasattr(f, "cache_clear") and f.__module__ == module.__name__
+    }
+    assert defined == set(WEYL_CACHES)
+
+
 def test_micro_support_same_cold_and_warm(clear_thread_caches):
     cold = []
     for case in CACHE_CASES:
@@ -202,9 +210,10 @@ def test_returned_dicts_are_private_copies():
 
 
 def test_min_rep_cache_keeps_systems_apart():
-    # the identities of A2 and C2 are equal as Weyl elements
-    a2, c2 = build_root_system("A", 2), build_root_system("C", 2)
-    assert a2.identity_element() == c2.identity_element()
-    for sys in (a2, c2):
+    # the identities of B2 and C2 are equal as Weyl elements (8-root
+    # identity permutations)
+    b2, c2 = build_root_system("B", 2), build_root_system("C", 2)
+    assert b2.identity_element() == c2.identity_element()
+    for sys in (b2, c2):
         P, Q = parabolic(sys, ()), parabolic(sys, (0,))
         assert threads._min_rep(sys.identity_element(), P, Q).system == sys

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylcoh import roots
+from weylcoh.kostant import kostant_decomposition
+from weylcoh.posetmod import subsets
 from weylcoh.roots import (
     InvalidTypeError,
     Parabolic,
@@ -19,7 +22,10 @@ from weylcoh.roots import (
     is_min_coset_rep,
     longest_levi_element,
     parabolic,
+    weyl_group_order,
 )
+from weylcoh.snf import solve
+from weylcoh.threads import wc_keep
 
 POSITIVE_COUNTS = {
     ("A", 2): 3,
@@ -213,3 +219,178 @@ def test_parabolic_rejects_bad_index():
     sys = build_root_system("A", 2)
     with pytest.raises(ValueError):
         Parabolic(sys, frozenset({5}))
+
+
+# -- matrix reference ---------------------------------------------------------
+#
+# The routines Weyl elements used before they were carried as root
+# permutations: integer action matrices on the simple-root basis, products of
+# matrices, the inverse by exact elimination, and inversion sets through
+# w^-1.  Kept here as the reference the permutation routines are compared
+# against.
+
+SP20_WORD = (
+    3, 2, 1, 6, 5, 4, 3, 2, 7, 6, 5, 4, 3, 8, 10, 9, 8, 7, 6, 5, 4,
+    10, 9, 8, 7, 6, 5, 10, 9, 8, 7, 6, 10, 9, 8, 7, 10, 9, 8, 10, 9, 10,
+)
+SP20_LEVI = (1, 3, 4, 6, 7, 8)
+
+
+def _mat_identity(n):
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+
+def _mat_mul(a, b):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+        for row in a
+    )
+
+
+def _mat_inverse(m):
+    n = len(m)
+    inv = solve(m, [[int(i == j) for j in range(n)] for i in range(n)])
+    return tuple(tuple(int(x) for x in row) for row in inv)
+
+
+def _mat_reflection(sys, i):
+    rows = [list(r) for r in _mat_identity(sys.rank)]
+    for j in range(sys.rank):
+        rows[i][j] -= sys.cartan[j][i]
+    return tuple(tuple(r) for r in rows)
+
+
+def _mat_word(sys, word):
+    m = _mat_identity(sys.rank)
+    for i in word:
+        m = _mat_mul(m, _mat_reflection(sys, i))
+    return m
+
+
+def _mat_descends(m, j):
+    return any(row[j] < 0 for row in m)
+
+
+def _mat_inversions(sys, m):
+    inv = _mat_inverse(m)
+    return [
+        idx for idx, r in enumerate(sys.positive_roots)
+        if any(sum(x * c for x, c in zip(row, r)) < 0 for row in inv)
+    ]
+
+
+def _mat_reduced_word(sys, m):
+    letters = []
+    while m != _mat_identity(sys.rank):
+        j = next(j for j in range(sys.rank) if _mat_descends(m, j))
+        letters.append(j)
+        m = _mat_mul(m, _mat_reflection(sys, j))
+    return tuple(reversed(letters))
+
+
+def _mat_first_negative(inv, levi):
+    return next((i for i in sorted(levi) if _mat_descends(inv, i)), None)
+
+
+def _mat_factorize(sys, m, Q):
+    v, vinv, u = m, _mat_inverse(m), _mat_identity(sys.rank)
+    while (i := _mat_first_negative(vinv, Q.levi)) is not None:
+        s = _mat_reflection(sys, i)
+        v, vinv, u = _mat_mul(s, v), _mat_mul(vinv, s), _mat_mul(u, s)
+    return u, v
+
+
+def _mat_min_coset_reps(P):
+    sys = P.system
+    ident = _mat_identity(sys.rank)
+    seen, frontier, out = {ident}, [ident], []
+    while frontier:
+        out.extend(frontier)
+        nxt = []
+        for w in frontier:
+            for j in range(sys.rank):
+                if _mat_descends(w, j):
+                    continue
+                w2 = _mat_mul(w, _mat_reflection(sys, j))
+                if w2 in seen:
+                    continue
+                if _mat_first_negative(_mat_inverse(w2), P.levi) is not None:
+                    continue
+                seen.add(w2)
+                nxt.append(w2)
+        frontier = nxt
+    return out
+
+
+def _assert_matches_matrix_reference(sys, word, levi):
+    w = sys.from_word(word)
+    m = _mat_word(sys, word)
+    assert w.matrix == m
+    assert w.inverse().matrix == _mat_inverse(m)
+    assert w.inversions() == _mat_inversions(sys, m)
+    assert w.length() == len(_mat_inversions(sys, m))
+    assert w.reduced_word() == _mat_reduced_word(sys, m)
+    for j in range(sys.rank):
+        assert w.descends_right(j) == _mat_descends(m, j)
+    u, v = factorize(w, parabolic(sys, ()), parabolic(sys, levi))
+    assert (u.matrix, v.matrix) == _mat_factorize(sys, m, parabolic(sys, levi))
+
+
+REFERENCE_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("C", 4)]
+
+
+@pytest.mark.parametrize("typ,rank", REFERENCE_SYSTEMS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_permutations_match_matrix_reference(typ, rank, data):
+    sys = build_root_system(typ, rank)
+    word = data.draw(st.lists(st.integers(0, rank - 1), max_size=14))
+    other = data.draw(st.lists(st.integers(0, rank - 1), max_size=8))
+    levi = data.draw(st.sets(st.integers(0, rank - 1), max_size=rank - 1))
+    _assert_matches_matrix_reference(sys, word, levi)
+    product = sys.from_word(word) * sys.from_word(other)
+    assert product.matrix == _mat_mul(_mat_word(sys, word), _mat_word(sys, other))
+
+
+def test_sp20_word_matches_matrix_reference():
+    sys = build_root_system("C", 10)
+    word = tuple(x - 1 for x in SP20_WORD)
+    assert sys.from_word(word).length() == 42
+    for levi in [(), SP20_LEVI, (0, 1, 2, 3, 4, 5, 6, 7, 8)]:
+        _assert_matches_matrix_reference(sys, word, levi)
+
+
+@pytest.mark.parametrize("typ,rank", REFERENCE_SYSTEMS)
+def test_coset_rep_order_matches_matrix_reference(typ, rank):
+    sys = build_root_system(typ, rank)
+    for levi in subsets(range(rank)):
+        P = parabolic(sys, levi)
+        reps = [w.matrix for w in enumerate_min_coset_reps(P)]
+        assert reps == _mat_min_coset_reps(P)
+        assert len(reps) == (
+            weyl_group_order(sys, range(rank)) // weyl_group_order(sys, levi)
+        )
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_weyl_elements_never_eliminate(monkeypatch, rank):
+    sys = build_root_system("C", rank)
+    lam = sys.weight_from_fundamental((1,) + (0,) * (rank - 1))
+
+    def refuse(*args):
+        raise AssertionError("a Weyl-element routine called snf.solve")
+
+    monkeypatch.setattr(roots, "solve", refuse)
+    P = parabolic(sys, ())
+    for w in enumerate_min_coset_reps(P):
+        assert w * w.inverse() == sys.identity_element()
+        assert len(w.inversions()) == w.length() == len(w.reduced_word())
+        for j in range(rank):
+            shorter = (w * sys.simple_reflection(j)).length() < w.length()
+            assert w.descends_right(j) == shorter
+        u, v = factorize(w, P, parabolic(sys, (0, 1)))
+        assert u * v == w
+        for a in subsets(range(rank))[:-1]:
+            wc_keep(P, w, lam, a, "nu")
+    for levi in subsets(range(rank)):
+        assert kostant_decomposition((1,) + (0,) * (rank - 1), parabolic(sys, levi))
