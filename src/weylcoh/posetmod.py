@@ -8,8 +8,10 @@ and to each pair A <= B a degree-1 integer matrix g_AB; these must satisfy
 
     sum over A <= B <= C of g_AB . g_BC = 0
 
-for every pair A <= C.  The internal differential g_AA may be nonzero; the
-built families keep it zero on the open face.
+for every pair A <= C, i.e. D.D = 0 for the total differential D that the
+g_AB assemble into.  The internal differential g_AA may be nonzero; the
+built families keep it zero on the open face.  Everything here is integer
+arithmetic.
 
 Degrees are thread-normalized: the open-face piece of a pushforward sits in
 degree 0, and consumers working over a Kostant class w convert to total
@@ -113,12 +115,21 @@ class ChainComplex:
             return zero_matrix(self.rank(deg + 1), self.rank(deg))
         return d
 
+    def dd_failure(self) -> tuple[int, int, int] | None:
+        """(deg, i, j) of the first nonzero entry of d^{deg+1} . d^deg."""
+        for deg in sorted(self.diffs):
+            if deg + 1 in self.diffs:
+                prod = mat_mul(self.diffs[deg + 1], self.diffs[deg])
+                for i, row in enumerate(prod):
+                    for j, x in enumerate(row):
+                        if x:
+                            return deg, i, j
+        return None
+
     def check(self) -> None:
-        for deg in self.ranks:
-            if self.rank(deg) and self.rank(deg + 1) and self.rank(deg + 2):
-                prod = mat_mul(self.diff(deg + 1), self.diff(deg))
-                if not snf.is_zero_matrix(prod):
-                    raise AssertionError(f"d.d != 0 at degree {deg}")
+        bad = self.dd_failure()
+        if bad:
+            raise AssertionError(f"d.d != 0 at degree {bad[0]}")
 
     def cohomology(self) -> GradedAbelian:
         # a degree with no stored differential maps by zero: no divisors
@@ -187,38 +198,21 @@ class PosetModule:
         return m
 
     def check_condition(self) -> None:
-        """Assert the triangle identity sum g_AB . g_BC = 0 for all A <= C."""
-        faces = self.faces()
-        all_degs = sorted({d for degs in self.pieces.values() for d in degs})
-        if not all_degs:
-            return
-        lo, hi = all_degs[0], all_degs[-1]
-        for a in faces:
-            for c in faces:
-                if not a <= c:
-                    continue
-                mids = [b for b in faces if a <= b <= c]
-                for deg in range(lo, hi + 1):
-                    rows = self.rank(a, deg + 2)
-                    cols = self.rank(c, deg)
-                    if not rows or not cols:
-                        continue
-                    total = zero_matrix(rows, cols)
-                    for b in mids:
-                        if not self.rank(b, deg + 1):
-                            continue
-                        total = snf.mat_add(
-                            total,
-                            mat_mul(
-                                self.map_matrix(a, b, deg + 1),
-                                self.map_matrix(b, c, deg),
-                            ),
-                        )
-                    if not snf.is_zero_matrix(total):
-                        raise AssertionError(
-                            f"module condition fails between {sorted(a)} "
-                            f"and {sorted(c)} at degree {deg}"
-                        )
+        """Assert D.D = 0 for the total differential D over every face.
+
+        The (A, C) block of D.D is the sum of g_AB . g_BC over A <= B <= C,
+        so this is the module condition for all pairs at once; a failure
+        names the faces of its first nonzero entry.
+        """
+        cx, basis = total_complex(self, self.faces())
+        bad = cx.dd_failure()
+        if bad:
+            deg, i, j = bad
+            (a, _), (c, _) = basis[deg + 2][i], basis[deg][j]
+            raise AssertionError(
+                f"module condition fails between {sorted(a)} "
+                f"and {sorted(c)} at degree {deg}"
+            )
 
 
 def pushforward_module(index_set) -> PosetModule:
@@ -340,13 +334,24 @@ def restrict_star(module: PosetModule, a: Face) -> PosetModule:
     return PosetModule(sorted(a), pieces, maps, check=False)
 
 
-def integer_kernel(mat, ncols: int | None = None) -> list[tuple[int, ...]]:
-    """A basis of the integer kernel lattice of an integer matrix."""
+def integer_kernel(
+    mat, ncols: int | None = None
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """A basis of the integer kernel lattice of an integer matrix, and its
+    coordinate rows.
+
+    Unimodular column operations V bring mat to column echelon form; the
+    columns of V past the pivots span the kernel lattice.  Each operation
+    on V is paired with the row operation that undoes it on V^-1, so the
+    matching rows of V^-1 give the coordinates of a kernel vector x:
+    x == sum over k of (coords[k] . x) * basis[k].  ncols gives the column
+    count of a matrix with no rows.
+    """
     rows = len(mat)
     cols = ncols if ncols is not None else (len(mat[0]) if rows else 0)
     a = [list(r) for r in mat]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    # integer column echelon via unimodular column operations
+    vinv = [row[:] for row in v]
     r = 0
     for i in range(rows):
         while True:
@@ -354,26 +359,24 @@ def integer_kernel(mat, ncols: int | None = None) -> list[tuple[int, ...]]:
             if not nz:
                 break
             piv = min(nz, key=lambda j: abs(a[i][j]))
-            for rowset in (a, v):
-                for row in rowset:
-                    row[r], row[piv] = row[piv], row[r]
+            for row in itertools.chain(a, v):
+                row[r], row[piv] = row[piv], row[r]
+            vinv[r], vinv[piv] = vinv[piv], vinv[r]
             done = True
             for j in range(r + 1, cols):
                 if a[i][j]:
                     q = a[i][j] // a[i][r]
-                    for rowset in (a, v):
-                        for row in rowset:
-                            row[j] -= q * row[r]
+                    for row in itertools.chain(a, v):
+                        row[j] -= q * row[r]
+                    vinv[r] = [x + q * y for x, y in zip(vinv[r], vinv[j])]
                     if a[i][j]:
                         done = False
             if done:
                 r += 1
                 break
-    kernel = []
-    for j in range(cols):
-        if all(a[i][j] == 0 for i in range(rows)):
-            kernel.append(tuple(v[i][j] for i in range(cols)))
-    return kernel
+    # the pivot columns are independent, so the kernel columns are the rest
+    basis = [tuple(row[j] for row in v) for j in range(r, cols)]
+    return basis, [tuple(row) for row in vinv[r:]]
 
 
 def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
@@ -393,20 +396,22 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
     if not degs:
         return module
 
-    # tau_{<= cutoff} as the subcomplex (full below the cutoff, kernel at it)
+    # tau_{<= cutoff} as the subcomplex (full below the cutoff, kernel at
+    # it), with the coordinate rows of each basis (identity below the cutoff)
     sub_basis: dict[int, list[tuple[int, ...]]] = {}
+    sub_coords: dict[int, list[tuple[int, ...]]] = {}
     if cutoff != -inf:
         for deg in degs:
             if deg < cutoff:
                 n = cx.rank(deg)
-                sub_basis[deg] = [
+                sub_basis[deg] = sub_coords[deg] = [
                     tuple(1 if i == j else 0 for i in range(n))
                     for j in range(n)
                 ]
             elif deg == cutoff:
-                ker = integer_kernel(cx.diff(deg), ncols=cx.rank(deg))
-                if ker:
-                    sub_basis[deg] = ker
+                sub_basis[deg], sub_coords[deg] = integer_kernel(
+                    cx.diff(deg), ncols=cx.rank(deg)
+                )
 
     # cone T of the inclusion: T^d = sub^{d+1} (+) L^d
     t_ranks: dict[int, int] = {}
@@ -416,17 +421,24 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
             t_ranks[deg] = n
 
     def t_diff(deg: int):
-        ks, ls = len(sub_basis.get(deg + 1, ())), cx.rank(deg)
-        kt, lt = len(sub_basis.get(deg + 2, ())), cx.rank(deg + 1)
+        source, target = sub_basis.get(deg + 1, ()), sub_basis.get(deg + 2, ())
+        ks, ls = len(source), cx.rank(deg)
+        kt, lt = len(target), cx.rank(deg + 1)
         mat = [[0] * (ks + ls) for _ in range(kt + lt)]
-        # -d_sub on the shifted subcomplex part
+        # -d_sub on the shifted subcomplex part, in the target's coordinates
         dL = cx.diff(deg + 1)
-        for j, vec in enumerate(sub_basis.get(deg + 1, ())):
-            img = [
-                sum(dL[i][k] * vec[k] for k in range(len(vec)))
-                for i in range(cx.rank(deg + 2))
+        for j, vec in enumerate(source):
+            img = [sum(x * y for x, y in zip(row, vec)) for row in dL]
+            coords = [
+                sum(x * y for x, y in zip(row, img))
+                for row in sub_coords.get(deg + 2, ())
             ]
-            coords = _in_basis(img, sub_basis.get(deg + 2, ()))
+            rebuilt = [
+                sum(c * v[i] for c, v in zip(coords, target))
+                for i in range(len(img))
+            ]
+            if rebuilt != img:
+                raise AssertionError("vector outside subcomplex basis span")
             for i, x in enumerate(coords):
                 mat[i][j] = -x
             # inclusion of the subcomplex into L, placed in the L block
@@ -439,19 +451,15 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
                     mat[kt + i][ks + j] = d[i][j]
         return mat
 
-    # assemble the result module
+    # assemble the result module; the cone part T^d of the new piece at a
+    # sits in degree d + 1, after the original piece
     pieces = {b: dict(degs_) for b, degs_ in module.pieces.items()}
     new_a: dict[int, int] = dict(pieces.get(a, {}))
     for deg, n in t_ranks.items():
-        if n:
-            new_a[deg + 1] = new_a.get(deg + 1, 0) + n
+        new_a[deg + 1] = new_a.get(deg + 1, 0) + n
     if new_a:
         pieces[a] = new_a
     maps = {k: dict(v) for k, v in module.maps.items()}
-
-    def a_offset(deg: int) -> int:
-        # the T part of the new piece at a sits after the original piece
-        return module.rank(a, deg)
 
     # maps out of a toward smaller faces act by zero on the new cone part
     for (b, c) in list(maps):
@@ -464,60 +472,32 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
                 )
             maps[(b, c)] = padded
 
-    # internal differential at a: [[old g_AA, 0], [-phi_AA, -d_T]]
-    pos_in_L = {}
-    for deg, lbls in basis.items():
-        pos_in_L[deg] = {lbl: i for i, lbl in enumerate(lbls)}
-    a_degs = sorted(set(new_a) | set(module.degrees(a)))
-    gaa = {}
-    for deg in a_degs:
-        rows = new_a.get(deg + 1, 0)
-        cols = new_a.get(deg, 0)
-        if not rows or not cols:
-            continue
-        mat = [[0] * cols for _ in range(rows)]
-        old = module.map_matrix(a, a, deg)
-        for i in range(module.rank(a, deg + 1)):
-            for j in range(module.rank(a, deg)):
-                mat[i][j] = old[i][j]
-        # -phi_AA: include piece(a)^deg into the L block of T^deg
-        ks = len(sub_basis.get(deg + 1, ()))
-        for j in range(module.rank(a, deg)):
-            li = pos_in_L.get(deg, {}).get((a, j))
-            if li is not None:
-                mat[a_offset(deg + 1) + ks + li][j] = -1
-        # -d_T on the cone part: T^{deg-1} -> T^deg inside the shifted piece
-        td = t_diff(deg - 1)
-        for i in range(len(td)):
-            for j in range(len(td[0]) if td else 0):
-                if td[i][j]:
-                    mat[a_offset(deg + 1) + i][a_offset(deg) + j] = -td[i][j]
-        gaa[deg] = mat
-    if gaa:
-        maps[(a, a)] = {
-            d: tuple(tuple(r) for r in m) for d, m in gaa.items()
-        }
-
-    # maps from faces above a into a: [g_AC ; -phi_AC]
-    for c in module.faces():
-        if not (a < c):
+    # maps from the faces c >= a into a: [g_AC ; -phi_AC], where phi_AC
+    # includes piece(c) into the L block of T; at c = a the cone part also
+    # carries its own differential -d_T
+    pos_in_L = {
+        deg: {lbl: i for i, lbl in enumerate(lbls)}
+        for deg, lbls in basis.items()
+    }
+    for c in sorted(pieces, key=face_key):
+        if not a <= c:
             continue
         mats = {}
-        for deg in module.degrees(c):
+        for deg in sorted(pieces[c]):
             rows = new_a.get(deg + 1, 0)
-            cols = module.rank(c, deg)
+            cols = pieces[c][deg]
             if not rows or not cols:
                 continue
             mat = [[0] * cols for _ in range(rows)]
-            old = module.map_matrix(a, c, deg)
-            for i in range(module.rank(a, deg + 1)):
-                for j in range(cols):
-                    mat[i][j] = old[i][j]
-            ks = len(sub_basis.get(deg + 1, ()))
-            for j in range(cols):
-                li = pos_in_L.get(deg, {}).get((c, j))
-                if li is not None:
-                    mat[a_offset(deg + 1) + ks + li][j] = -1
+            for i, row in enumerate(module.map_matrix(a, c, deg)):
+                mat[i][: len(row)] = row
+            top = module.rank(a, deg + 1)
+            offset = top + len(sub_basis.get(deg + 1, ()))
+            for j in range(module.rank(c, deg)):
+                mat[offset + pos_in_L[deg][(c, j)]][j] = -1
+            if c == a:
+                for i, row in enumerate(t_diff(deg - 1)):
+                    mat[top + i][module.rank(a, deg):] = [-x for x in row]
             mats[deg] = tuple(tuple(r) for r in mat)
         if mats:
             maps[(a, c)] = mats
@@ -525,17 +505,6 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
             del maps[(a, c)]
 
     return PosetModule(module.index_set, pieces, maps)
-
-
-def _in_basis(vec, basis_vectors) -> list[int]:
-    """Coordinates of an integer vector in a given integral basis."""
-    cols = [[c[i] for c in basis_vectors] for i in range(len(vec))]
-    coords = snf.solve(cols, [[x] for x in vec])
-    if coords is None:
-        raise AssertionError("vector outside subcomplex basis span")
-    if any(c.denominator != 1 for (c,) in coords):
-        raise AssertionError("non-integral coordinates in subcomplex basis")
-    return [int(c) for (c,) in coords]
 
 
 def ic_module(index_set, cutoffs: dict, order=None) -> PosetModule:
@@ -573,9 +542,9 @@ def _successive_truncation(
 
 
 def supported_local_cohomology(module: PosetModule, a: Face) -> GradedAbelian:
-    """Cohomology of the base-face local complex of the restriction below a."""
-    sub = restrict_shriek(module, Face(a))
-    cx, _ = local_complex(sub, frozenset())
+    """Cohomology of the total complex over the faces below a."""
+    a = Face(a)
+    cx, _ = total_complex(module, [b for b in module.faces() if b <= a])
     return cx.cohomology()
 
 
@@ -584,14 +553,15 @@ def attaching_map_rank(
 ) -> dict[int, int]:
     """Per-degree rank of the map between supported local cohomologies.
 
-    The sub-poset below a1 includes into the one below a2; the induced map on
-    base-face local cohomology is computed over the rationals.
+    The sub-poset below a1 includes into the one below a2; the induced map
+    sends an integer cocycle basis below a1 across, and its rank is taken
+    over the rationals.
     """
     a1, a2 = Face(a1), Face(a2)
     if not a1 <= a2:
         raise ValueError("first face is not below the second")
-    c1, b1 = local_complex(restrict_shriek(module, a1), frozenset())
-    c2, b2 = local_complex(restrict_shriek(module, a2), frozenset())
+    c1, b1 = total_complex(module, [b for b in module.faces() if b <= a1])
+    c2, b2 = total_complex(module, [b for b in module.faces() if b <= a2])
     out = {}
     for deg in sorted(c1.ranks):
         if not c1.rank(deg):
@@ -599,7 +569,7 @@ def attaching_map_rank(
         pos2 = {lbl: i for i, lbl in enumerate(b2.get(deg, []))}
         n2 = c2.rank(deg)
         # cocycles of the source complex
-        cocycles = snf.kernel_basis(c1.diff(deg), ncols=c1.rank(deg))
+        cocycles, _ = integer_kernel(c1.diff(deg), ncols=c1.rank(deg))
         images = []
         for vec in cocycles:
             img = [0] * n2

@@ -2,8 +2,9 @@
 
 Matrices are tuples of row tuples over int or Fraction.  Everything here is
 exact: no floating point is used anywhere in the package.  `qq_rank`,
-`echelon`, `kernel_basis` and `solve` accept int or Fraction entries;
-`snf_divisors` takes int entries only.
+`echelon` and `solve` accept int or Fraction entries; `snf_divisors` takes
+int entries only.  The integer kernel lattice, with coordinates, is
+`posetmod.integer_kernel`.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ def mat_mul(a: Matrix, b: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_add(a: Matrix, b: Matrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -134,30 +131,6 @@ def qq_rank(mat: Matrix) -> int:
     """Rank over the rationals: unit pivots, then fraction-free elimination."""
     units, rest = _unit_reduce(mat)
     return units + len(echelon(rest)[1])
-
-
-def kernel_basis(
-    mat: Matrix, ncols: int | None = None
-) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational null space {v : mat @ v = 0} (column vectors).
-
-    One vector per free column: 1 there, 0 at the other free columns.
-    ncols gives the column count of a matrix with no rows.
-    """
-    if ncols is None:
-        ncols = shape(mat)[1]
-    rows, pivots, d = echelon(mat)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            v[pc] = Fraction(-row[fc], d)
-        basis.append(tuple(v))
-    return basis
 
 
 def solve(a: Matrix, b: Matrix) -> tuple[tuple[Fraction, ...], ...] | None:

@@ -1,15 +1,20 @@
 """Poset modules: truncation, local cohomology, and the spectral pages."""
 
 import random
+import re
+from functools import lru_cache
 from math import inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylcoh import snf
 from weylcoh.posetmod import (
     ChainComplex,
     GradedAbelian,
+    PosetModule,
+    attaching_map_rank,
     fary_E1_page,
     fary_abutment_ranks,
     ic_module,
@@ -24,7 +29,9 @@ from weylcoh.posetmod import (
     supported_local_cohomology,
     truncate_at,
 )
+from weylcoh.roots import build_root_system, enumerate_min_coset_reps, parabolic
 from weylcoh.snf import mat_mul
+from weylcoh.threads import ic_cutoffs
 
 CUT_VALUES = [-inf, -2, -1, 0, 1, 2, inf]
 
@@ -219,3 +226,102 @@ def test_spectral_page_rejects_trivial_subsimplex():
         mv_E1_page(m, frozenset())
     with pytest.raises(ValueError):
         fary_E1_page(m, frozenset({0, 1}))
+
+
+@lru_cache(maxsize=None)
+def _c3_borel_modules():
+    """The ic modules of the 96 C3 Borel profiles (48 elements, m and n)."""
+    P = parabolic(build_root_system("C", 3), ())
+    return tuple(
+        ic_module(P.restricted_indices, ic_cutoffs(P, w, kind))
+        for w in enumerate_min_coset_reps(P)
+        for kind in ("m", "n")
+    )
+
+
+def _failing_triangles(module):
+    """(A, C, d) wherever sum over A <= B <= C of g_AB . g_BC is nonzero."""
+    faces = module.faces()
+    degs = [d for degs in module.pieces.values() for d in degs]
+    failing = set()
+    for a in faces:
+        for c in faces:
+            if not a <= c:
+                continue
+            for deg in range(min(degs), max(degs) + 1):
+                rows, cols = module.rank(a, deg + 2), module.rank(c, deg)
+                if not rows or not cols:
+                    continue
+                total = [[0] * cols for _ in range(rows)]
+                for b in faces:
+                    if a <= b <= c and module.rank(b, deg + 1):
+                        prod = mat_mul(
+                            module.map_matrix(a, b, deg + 1),
+                            module.map_matrix(b, c, deg),
+                        )
+                        for i, row in enumerate(prod):
+                            for j, x in enumerate(row):
+                                total[i][j] += x
+                if any(x for row in total for x in row):
+                    failing.add((str(sorted(a)), str(sorted(c)), deg))
+    return failing
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_module_condition_rejects_unit_changes(data):
+    # a single +-1 change to one structure map of a thread module is
+    # rejected exactly when some triangle sum g_AB . g_BC stops vanishing,
+    # and the message names the faces and degree of a failing triangle
+    module = data.draw(st.sampled_from(_c3_borel_modules()))
+    assert not _failing_triangles(module)
+    slots = [
+        (b, c, deg)
+        for b in module.faces()
+        for c in module.faces()
+        if b <= c
+        for deg in module.degrees(c)
+        if module.rank(b, deg + 1)
+    ]
+    b, c, deg = data.draw(st.sampled_from(slots))
+    mat = [list(row) for row in module.map_matrix(b, c, deg)]
+    i = data.draw(st.integers(0, len(mat) - 1))
+    j = data.draw(st.integers(0, len(mat[0]) - 1))
+    mat[i][j] += data.draw(st.sampled_from((1, -1)))
+    maps = {k: dict(v) for k, v in module.maps.items()}
+    maps.setdefault((b, c), {})[deg] = mat
+    changed = PosetModule(module.index_set, module.pieces, maps, check=False)
+    failing = _failing_triangles(changed)
+    try:
+        PosetModule(module.index_set, module.pieces, maps)
+    except AssertionError as err:
+        found = re.fullmatch(
+            r"module condition fails between (\[.*?\]) and (\[.*?\]) "
+            r"at degree (-?\d+)",
+            str(err),
+        )
+        assert found, str(err)
+        a_name, c_name, d = found.groups()
+        assert (a_name, c_name, int(d)) in failing
+    else:
+        assert not failing
+
+
+def test_posetmod_never_solves_over_the_rationals(monkeypatch):
+    # truncation, supported local cohomology and attaching ranks stay in
+    # integer arithmetic: none of them reaches the rational solve
+    def refuse(*args):
+        raise AssertionError("a posetmod routine called snf.solve")
+
+    monkeypatch.setattr(snf, "solve", refuse)
+    P = parabolic(build_root_system("C", 3), ())
+    faces = subsets(P.restricted_indices)
+    for w in enumerate_min_coset_reps(P):
+        for kind in ("m", "n"):
+            module = ic_module(P.restricted_indices, ic_cutoffs(P, w, kind))
+            for a in faces:
+                supported_local_cohomology(module, a)
+            for a1 in faces:
+                for a2 in faces:
+                    if a1 < a2:
+                        attaching_map_rank(module, a1, a2)

@@ -231,11 +231,11 @@ def test_echelon_is_scaled_rref(mat):
     assert _rank(list(mat) + rows[:r]) == r
 
 
-@given(qq_matrices)
+@given(int_matrices)
 @settings(max_examples=150, deadline=None)
-def test_kernel_basis_annihilates(mat):
+def test_integer_kernel_annihilates(mat):
     ncols = len(mat[0])
-    basis = snf.kernel_basis(mat)
+    basis, _ = integer_kernel(mat)
     assert len(basis) == ncols - _rank(mat)
     for v in basis:
         for row in mat:
@@ -244,22 +244,35 @@ def test_kernel_basis_annihilates(mat):
         assert _rank(basis) == len(basis)
 
 
-def test_kernel_basis_of_matrix_without_rows():
+def test_integer_kernel_of_matrix_without_rows():
     # a 0 x 3 matrix has no rows to carry its width
-    assert snf.kernel_basis((), ncols=3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    basis, coords = integer_kernel((), ncols=3)
+    assert basis == coords == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
-@given(int_matrices)
+@given(int_matrices, st.data())
 @settings(max_examples=150, deadline=None)
-def test_integer_kernel_is_saturated(mat):
+def test_integer_kernel_is_saturated(mat, data):
     # a basis of the whole kernel lattice: every SNF divisor of it is 1
-    basis = integer_kernel(mat)
+    basis, coords = integer_kernel(mat)
     assert len(basis) == len(mat[0]) - _rank(mat)
     for v in basis:
         for row in mat:
             assert sum(x * y for x, y in zip(row, v)) == 0
     if basis:
         assert snf.snf_divisors(basis) == [1] * len(basis)
+    # the coordinate rows are dual to the basis ...
+    for k, row in enumerate(coords):
+        for l, v in enumerate(basis):
+            assert sum(x * y for x, y in zip(row, v)) == (k == l)
+    # ... and rebuild any lattice vector from its coordinates
+    mults = data.draw(
+        st.lists(small_ints, min_size=len(basis), max_size=len(basis))
+    )
+    x = [sum(m * v[i] for m, v in zip(mults, basis)) for i in range(len(mat[0]))]
+    c = [sum(p * q for p, q in zip(row, x)) for row in coords]
+    assert c == mults
+    assert [sum(m * v[i] for m, v in zip(c, basis)) for i in range(len(x))] == x
 
 
 @given(qq_matrices, st.integers(1, 3), st.data())
