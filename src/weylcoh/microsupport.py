@@ -188,22 +188,16 @@ def classify_fundamental(entry: MicroSupportEntry) -> bool:
 class RealFormOracle:
     """Dimension data for symmetric spaces attached to Levi quotients.
 
-    The split preset counts dim D_P as the positive Levi roots plus the
-    Levi rank, and dim D_P(V) likewise for the sub-root-system of Levi
+    For the split form, dim D_P is the number of positive Levi roots plus
+    the Levi rank, and dim D_P(V) likewise for the sub-root-system of Levi
     roots orthogonal to the highest weight of V.
     """
 
-    preset: str = "split"
-
     def dimD(self, P: Parabolic) -> int:
-        if self.preset != "split":
-            raise ValueError(f"no dimension data for preset {self.preset!r}")
         return len(P.levi_positive_indices()) + len(P.levi)
 
     def dimDV(self, P: Parabolic, mu: Vec) -> int:
         """dim D_P(V) for the weight mu, given in simple-root coordinates."""
-        if self.preset != "split":
-            raise ValueError(f"no dimension data for preset {self.preset!r}")
         sys = P.system
         perp = [
             sys.positive_roots[i]

@@ -276,64 +276,6 @@ def local_complex(
     return total_complex(module, [b for b in module.faces() if a <= b])
 
 
-def restrict_shriek(module: PosetModule, a: Face) -> PosetModule:
-    """Restriction to the closed sub-poset of faces below a."""
-    a = Face(a)
-    if not a <= module.index_set:
-        raise ValueError("face outside the module's index set")
-    pieces = {b: dict(degs) for b, degs in module.pieces.items() if b <= a}
-    maps = {
-        (b, c): dict(mats)
-        for (b, c), mats in module.maps.items()
-        if c <= a
-    }
-    return PosetModule(sorted(a), pieces, maps, check=False)
-
-
-def restrict_star(module: PosetModule, a: Face) -> PosetModule:
-    """Restriction to the closure of the stratum a, collapsing faces onto it.
-
-    The piece at b <= a collects every face c with c intersect a = b; the
-    structure maps are inherited blockwise.
-    """
-    a = Face(a)
-    groups: dict[Face, list[Face]] = {}
-    for c in module.faces():
-        b = c & a
-        groups.setdefault(b, []).append(c)
-    pieces: dict[Face, dict[int, int]] = {}
-    offsets: dict[Face, dict[int, dict[Face, int]]] = {}
-    for b, members in groups.items():
-        members.sort(key=face_key)
-        degs: dict[int, int] = {}
-        offs: dict[int, dict[Face, int]] = {}
-        for c in members:
-            for d in module.degrees(c):
-                offs.setdefault(d, {})[c] = degs.get(d, 0)
-                degs[d] = degs.get(d, 0) + module.rank(c, d)
-        pieces[b] = degs
-        offsets[b] = offs
-    maps: dict[tuple[Face, Face], dict[int, list[list[int]]]] = {}
-    for (c1, c2), mats in module.maps.items():
-        b1, b2 = c1 & a, c2 & a
-        if not b1 <= b2:
-            # c1 <= c2 forces c1&a <= c2&a, so this cannot happen
-            raise AssertionError("incoherent face intersection")
-        for d, m in mats.items():
-            rows = pieces[b1].get(d + 1, 0)
-            cols = pieces[b2].get(d, 0)
-            block = maps.setdefault((b1, b2), {}).setdefault(
-                d, [[0] * cols for _ in range(rows)]
-            )
-            ro = offsets[b1][d + 1][c1]
-            co = offsets[b2][d][c2]
-            for i, row in enumerate(m):
-                for j, x in enumerate(row):
-                    if x:
-                        block[ro + i][co + j] += x
-    return PosetModule(sorted(a), pieces, maps, check=False)
-
-
 def integer_kernel(
     mat, ncols: int | None = None
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:

@@ -24,24 +24,14 @@ from .kostant import (
     levi_self_dual,
 )
 from .microsupport import RealFormOracle
-from .posetmod import (
-    Face,
-    GradedAbelian,
-    face_key,
-    restrict_shriek,
-    restrict_star,
-    subsets,
-    supported_local_cohomology,
-)
+from .posetmod import Face, GradedAbelian, face_key, subsets
 from .roots import (
     Parabolic,
     RootSystem,
     factorize,
     parabolic,
 )
-from .threads import build_thread
-
-EQUAL_RANK_PRESETS = {"C"}
+from .threads import thread_key, thread_local_cohomology
 
 
 @dataclass(frozen=True)
@@ -50,7 +40,6 @@ class SatakeDatum:
 
     system: RootSystem
     mu_support: frozenset
-    equal_rank: bool = True
 
     def __post_init__(self):
         if not self.mu_support:
@@ -63,7 +52,7 @@ def baily_borel(system: RootSystem) -> SatakeDatum:
     """The natural datum for type C: weight at the long-root end."""
     if system.cartan_type != "C":
         raise ValueError("the natural datum needs a type C group")
-    return SatakeDatum(system, frozenset({system.rank - 1}), equal_rank=True)
+    return SatakeDatum(system, frozenset({system.rank - 1}))
 
 
 def _adjacent(system: RootSystem, i: int, j: int) -> bool:
@@ -142,17 +131,6 @@ def fiber_strata(datum: SatakeDatum, R: Parabolic) -> list[Parabolic]:
     return out
 
 
-def complementary_parabolic(Q: Parabolic, R: Parabolic) -> Parabolic:
-    """The parabolic T >= Q whose restricted roots avoid the Levi of R.
-
-    Characterized by adjoining to Q exactly its restricted roots outside
-    the Levi of R; shriek-restriction to T equals shriek-restriction to Q
-    after collapsing onto R.
-    """
-    extra = frozenset(Q.restricted_indices) - R.levi
-    return parabolic(Q.system, Q.levi | extra)
-
-
 # -- dimension bookkeeping (split preset) ---------------------------------
 
 
@@ -221,48 +199,42 @@ def _fiber_entries(
     lam_coords,
     kind: str | None,
     profile: str | None,
-    shriek: bool,
-) -> list[FiberEntry]:
-    sys = datum.system
-    shift = (
-        dim_boundary_symmetric_space(datum, R, "h")
-        if shriek and not R.is_full
-        else 0
-    )
-    entries = []
+) -> tuple[list[FiberEntry], list[FiberEntry]]:
+    """The star and shriek entries, each read off the thread's cache."""
+    shift = 0 if R.is_full else dim_boundary_symmetric_space(datum, R, "h")
+    star, shriek = [], []
     for P in fiber_strata(datum, R):
         a_R = frozenset(P.restricted_indices) & R.levi
+        collapsed = frozenset(P.restricted_indices) - R.levi
         for c in kostant_decomposition(lam_coords, P):
             if not fiber_self_contragredient(datum, c):
                 continue
-            thread = build_thread(
+            key = thread_key(
                 family, P, c.w, kind=kind, profile=profile, lam=c.lam
-            )
-            fiber = (
-                restrict_shriek(thread, a_R)
-                if shriek
-                else restrict_star(thread, a_R)
             )
             # detection only counts between the bracketing faces, cut to R
             q_lo, q_hi = bracketing_parabolics(c)
             s_lo = frozenset(q_lo.levi - P.levi) & a_R
             s_hi = frozenset(q_hi.levi - P.levi) & a_R
-            window = []
-            for s in subsets(sorted(s_hi)):
-                if not s_lo <= s:
+            faces = [s for s in subsets(sorted(s_hi)) if s_lo <= s]
+            for entries, extra, k in (
+                (star, collapsed, 0),
+                (shriek, frozenset(), shift),
+            ):
+                window = []
+                for s in faces:
+                    g = thread_local_cohomology(key, s | extra)
+                    if not g.is_zero:
+                        window.append((s, g.shifted(c.degree + k)))
+                if not window:
                     continue
-                g = supported_local_cohomology(fiber, s)
-                if not g.is_zero:
-                    window.append((s, g.shifted(c.degree + shift)))
-            if not window:
-                continue
-            degs = [d for _, g in window for d in g.degrees()]
-            entries.append(
-                FiberEntry(
-                    cls=c, window=tuple(window), c=min(degs), d=max(degs)
+                degs = [d for _, g in window for d in g.degrees()]
+                entries.append(
+                    FiberEntry(
+                        cls=c, window=tuple(window), c=min(degs), d=max(degs)
+                    )
                 )
-            )
-    return entries
+    return star, shriek
 
 
 def restrict_to_fiber(
@@ -279,34 +251,31 @@ def restrict_to_fiber(
     the shriek version keeps only those faces and shifts degrees up by the
     dimension of the h-side boundary component.  Degree ranges combine the
     class data with the split-preset ell-side dimensions.
+
+    Neither restriction is built as a module.  Let I be the restricted
+    roots of a stratum P and a_R = I & R.levi.  For s <= a_R, the shriek
+    restriction's supported cohomology at s is the thread's at s.  The
+    star restriction collapses a face c onto c & a_R, so at s it covers
+    the faces c with c & a_R <= s, which are the faces below
+    s | (I - R.levi).  Both are downward-closed sets of faces, so each
+    window is read from the per-profile cache of the thread itself.
     """
     if not is_saturated(datum, R):
         raise ValueError(f"{R} is not saturated")
-    star = _fiber_entries(datum, R, family, lam_coords, kind, profile, False)
-    shk = _fiber_entries(datum, R, family, lam_coords, kind, profile, True)
-    d_star, c_shriek = -inf, inf
-    for e in star:
-        half = Fraction(
-            dim_boundary_symmetric_space(datum, e.cls.P, "ell")
-            + _ell_dimDV(datum, e.cls),
-            2,
-        )
-        d_star = max(d_star, half + e.d)
-    for e in shk:
-        half = Fraction(
-            dim_boundary_symmetric_space(datum, e.cls.P, "ell")
-            - _ell_dimDV(datum, e.cls),
-            2,
-        )
-        c_shriek = min(c_shriek, half + e.c)
+    star, shk = _fiber_entries(datum, R, family, lam_coords, kind, profile)
+
+    def half(e: FiberEntry, sign: int) -> Fraction:
+        dim = dim_boundary_symmetric_space(datum, e.cls.P, "ell")
+        return Fraction(dim + sign * _ell_dimDV(datum, e.cls), 2)
+
     codim = codim_boundary_stratum(datum, R)
     n_rest = len(R.restricted_indices)
     return FiberRestriction(
         R=R,
         star_entries=tuple(star),
         shriek_entries=tuple(shk),
-        d_star=d_star,
-        c_shriek=c_shriek,
+        d_star=max((half(e, 1) + e.d for e in star), default=-inf),
+        c_shriek=min((half(e, -1) + e.c for e in shk), default=inf),
         d_bound=Fraction(codim, 2) - n_rest,
         c_bound=Fraction(codim, 2) + n_rest,
     )

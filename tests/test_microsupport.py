@@ -93,13 +93,6 @@ def test_split_oracle_dimensions():
     assert oracle.dimDV(G, zero) == oracle.dimD(G)
 
 
-def test_unknown_preset_rejected():
-    sys = build_root_system("C", 2)
-    oracle = RealFormOracle(preset="quaternionic")
-    with pytest.raises(ValueError):
-        oracle.dimD(parabolic(sys, ()))
-
-
 def test_degree_bounds_empty():
     assert global_degree_bounds([], RealFormOracle()) == (inf, -inf)
 

@@ -1,14 +1,26 @@
 """Connectivity splits, saturation, fibers, and fiber restriction bounds."""
 
-import pytest
+import itertools
+from fractions import Fraction
+from math import inf
 
-from weylcoh.kostant import kostant_decomposition
-from weylcoh.posetmod import subsets
-from weylcoh.roots import build_root_system, full_parabolic, parabolic
+import pytest
+from test_posetmod import shriek_oracle, star_oracle
+
+from weylcoh import threads
+from weylcoh.kostant import bracketing_parabolics, kostant_decomposition
+from weylcoh.microsupport import micro_support
+from weylcoh.posetmod import subsets, supported_local_cohomology
+from weylcoh.roots import build_root_system, parabolic
 from weylcoh.satake import (
+    FiberEntry,
+    FiberRestriction,
     SatakeDatum,
+    _ell_dimDV,
     baily_borel,
-    complementary_parabolic,
+    codim_boundary_stratum,
+    dim_boundary_symmetric_space,
+    fiber_self_contragredient,
     fiber_strata,
     is_saturated,
     kappa_zeta,
@@ -96,16 +108,6 @@ def test_fiber_strata_needs_saturation():
         fiber_strata(datum, parabolic(sys, ()))
 
 
-def test_complementary_parabolic():
-    sys = build_root_system("C", 3)
-    Q = parabolic(sys, (0,))
-    G = full_parabolic(sys)
-    assert complementary_parabolic(Q, G).levi == Q.levi
-    assert complementary_parabolic(Q, Q).levi == G.levi
-    R = parabolic(sys, (0, 1))
-    assert complementary_parabolic(Q, R).levi == frozenset({0, 2})
-
-
 def test_restrict_to_fiber_bounds():
     sys = build_root_system("C", 2)
     datum = baily_borel(sys)
@@ -122,6 +124,139 @@ def test_restrict_to_fiber_needs_saturation():
     datum = baily_borel(sys)
     with pytest.raises(ValueError):
         restrict_to_fiber(datum, parabolic(sys, ()), "ic", (0, 0), kind="n")
+
+
+def _module_fiber_entries(datum, R, family, lam, kind, profile, shriek):
+    # the fiber restriction built as a module: one new thread per class,
+    # collapsed onto a_R (star) or cut down to it (shriek)
+    shift = (
+        dim_boundary_symmetric_space(datum, R, "h")
+        if shriek and not R.is_full
+        else 0
+    )
+    entries = []
+    for P in fiber_strata(datum, R):
+        a_R = frozenset(P.restricted_indices) & R.levi
+        for c in kostant_decomposition(lam, P):
+            if not fiber_self_contragredient(datum, c):
+                continue
+            thread = threads.build_thread(
+                family, P, c.w, kind=kind, profile=profile, lam=c.lam
+            )
+            restrict = shriek_oracle if shriek else star_oracle
+            fiber = restrict(thread, a_R)
+            q_lo, q_hi = bracketing_parabolics(c)
+            s_lo = frozenset(q_lo.levi - P.levi) & a_R
+            s_hi = frozenset(q_hi.levi - P.levi) & a_R
+            window = []
+            for s in subsets(sorted(s_hi)):
+                if not s_lo <= s:
+                    continue
+                g = supported_local_cohomology(fiber, s)
+                if not g.is_zero:
+                    window.append((s, g.shifted(c.degree + shift)))
+            if not window:
+                continue
+            degs = [d for _, g in window for d in g.degrees()]
+            entries.append(
+                FiberEntry(cls=c, window=tuple(window), c=min(degs), d=max(degs))
+            )
+    return entries
+
+
+FIBER_CASES = [
+    ("C", 2, lam, family, kind, profile)
+    for lam in itertools.product((0, 1), repeat=2)
+    for family, kind, profile in [
+        ("pushforward", None, None),
+        ("ic", "m", None),
+        ("ic", "n", None),
+        ("wc", None, "mu"),
+        ("wc", None, "nu"),
+    ]
+] + [("C", 3, (1, 1, 1), "ic", "m", None)]
+
+
+def _module_fiber_restriction(datum, R, family, lam, kind, profile):
+    args = (datum, R, family, lam, kind, profile)
+    star = _module_fiber_entries(*args, shriek=False)
+    shriek = _module_fiber_entries(*args, shriek=True)
+
+    d_star, c_shriek = -inf, inf
+    for e in star:
+        ell = dim_boundary_symmetric_space(datum, e.cls.P, "ell")
+        d_star = max(d_star, Fraction(ell + _ell_dimDV(datum, e.cls), 2) + e.d)
+    for e in shriek:
+        ell = dim_boundary_symmetric_space(datum, e.cls.P, "ell")
+        c_shriek = min(
+            c_shriek, Fraction(ell - _ell_dimDV(datum, e.cls), 2) + e.c
+        )
+    codim = codim_boundary_stratum(datum, R)
+    n_rest = len(R.restricted_indices)
+    return FiberRestriction(
+        R=R,
+        star_entries=tuple(star),
+        shriek_entries=tuple(shriek),
+        d_star=d_star,
+        c_shriek=c_shriek,
+        d_bound=Fraction(codim, 2) - n_rest,
+        c_bound=Fraction(codim, 2) + n_rest,
+    )
+
+
+@pytest.mark.parametrize(
+    "typ,rank,lam,family,kind,profile",
+    FIBER_CASES,
+    ids=[
+        f"{t}{n}-{f}-{k or p or ''}-{''.join(map(str, lam))}"
+        for t, n, lam, f, k, p in FIBER_CASES
+    ],
+)
+def test_fiber_windows_match_restricted_modules(
+    typ, rank, lam, family, kind, profile
+):
+    datum = baily_borel(build_root_system(typ, rank))
+    for R in saturated_parabolics(datum):
+        args = (datum, R, family, lam, kind, profile)
+        assert restrict_to_fiber(*args) == _module_fiber_restriction(*args)
+
+
+def _all_fibers(datum, family, lam, **kw):
+    return [
+        restrict_to_fiber(datum, R, family, lam, **kw)
+        for R in saturated_parabolics(datum)
+    ]
+
+
+def test_fiber_restriction_same_cold_and_warm(clear_thread_caches):
+    sys = build_root_system("C", 3)
+    datum = baily_borel(sys)
+    clear_thread_caches()
+    cold = _all_fibers(datum, "ic", (1, 1, 1), kind="m")
+    clear_thread_caches()
+    for family, kw in [("ic", {"kind": "m"}), ("wc", {"profile": "nu"})]:
+        micro_support(family, (1, 1, 1), sys, **kw)
+    assert _all_fibers(datum, "ic", (1, 1, 1), kind="m") == cold
+
+
+def test_second_fiber_restriction_builds_no_module(
+    monkeypatch, clear_thread_caches
+):
+    built = []
+    real = threads.ic_module
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(threads, "ic_module", counting)
+    clear_thread_caches()
+    datum = baily_borel(build_root_system("C", 3))
+    first = _all_fibers(datum, "wc", (1, 0, 1), profile="mu")
+    cold_builds = len(built)
+    assert cold_builds > 0
+    assert _all_fibers(datum, "wc", (1, 0, 1), profile="mu") == first
+    assert len(built) == cold_builds
 
 
 def test_pairing_shift_validation():
