@@ -206,7 +206,9 @@ class RealFormOracle:
         ]
         if not perp:
             return 0
-        return len(perp) + qq_rank(perp)
+        return len(perp) + qq_rank(
+            [{j: x for j, x in enumerate(r) if x} for r in perp]
+        )
 
 
 def global_degree_bounds(

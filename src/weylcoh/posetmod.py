@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import inf
 
 from . import snf
-from .snf import mat_mul, zero_matrix
+from .snf import zero_matrix
 
 Face = frozenset
 
@@ -101,29 +101,37 @@ class GradedAbelian:
 
 @dataclass
 class ChainComplex:
-    """A cochain complex of finitely generated free abelian groups."""
+    """A cochain complex of finitely generated free abelian groups.
+
+    diffs[deg] is d^deg as its rank(deg + 1) rows, each a dict column ->
+    nonzero entry; a degree with no stored differential maps by zero.
+    """
 
     ranks: dict[int, int]
-    diffs: dict[int, tuple[tuple[int, ...], ...]]
+    diffs: dict[int, list[dict[int, int]]]
 
     def rank(self, deg: int) -> int:
         return self.ranks.get(deg, 0)
 
-    def diff(self, deg: int):
+    def diff(self, deg: int) -> list[dict[int, int]]:
         d = self.diffs.get(deg)
         if d is None:
-            return zero_matrix(self.rank(deg + 1), self.rank(deg))
+            return [{} for _ in range(self.rank(deg + 1))]
         return d
 
     def dd_failure(self) -> tuple[int, int, int] | None:
         """(deg, i, j) of the first nonzero entry of d^{deg+1} . d^deg."""
         for deg in sorted(self.diffs):
             if deg + 1 in self.diffs:
-                prod = mat_mul(self.diffs[deg + 1], self.diffs[deg])
-                for i, row in enumerate(prod):
-                    for j, x in enumerate(row):
-                        if x:
-                            return deg, i, j
+                inner = self.diffs[deg]
+                for i, row in enumerate(self.diffs[deg + 1]):
+                    acc: dict[int, int] = {}
+                    for k, x in row.items():
+                        for j, y in inner[k].items():
+                            acc[j] = acc.get(j, 0) + x * y
+                    bad = [j for j, v in acc.items() if v]
+                    if bad:
+                        return deg, i, min(bad)
         return None
 
     def check(self) -> None:
@@ -233,39 +241,34 @@ def total_complex(
     """
     faces = sorted((Face(b) for b in faces), key=face_key)
     basis: dict[int, list[tuple[Face, int]]] = {}
-    degs = sorted({d for b in faces for d in module.degrees(b)})
-    for deg in degs:
-        basis[deg] = [
-            (b, i) for b in faces for i in range(module.rank(b, deg))
-        ]
-    ranks = {deg: len(basis[deg]) for deg in degs}
-    pos = {
-        deg: {lbl: i for i, lbl in enumerate(lbls)}
-        for deg, lbls in basis.items()
+    start: dict[tuple[int, Face], int] = {}  # (deg, face) -> first index
+    for deg in sorted({d for b in faces for d in module.degrees(b)}):
+        lbls = basis[deg] = []
+        for b in faces:
+            start[deg, b] = len(lbls)
+            lbls.extend((b, i) for i in range(module.rank(b, deg)))
+    ranks = {deg: len(lbls) for deg, lbls in basis.items()}
+    diffs = {
+        deg: [{} for _ in range(ranks[deg + 1])]
+        for deg in ranks
+        if deg + 1 in ranks
     }
-    diffs = {}
-    for deg in degs:
-        rows = ranks.get(deg + 1, 0)
-        cols = ranks[deg]
-        if not rows or not cols:
-            continue
-        mat = [[0] * cols for _ in range(rows)]
-        for c in faces:
-            nc = module.rank(c, deg)
-            if not nc:
-                continue
-            for b in faces:
-                if not b <= c or not module.rank(b, deg + 1):
+    # faces c >= b in canonical order fill each row in ascending columns,
+    # the order in which snf._unit_reduce breaks ties between pivots
+    for deg, rows in diffs.items():
+        for k, b in enumerate(faces):
+            r0 = start[deg + 1, b]
+            for c in faces[k:]:
+                g = module.maps.get((b, c), {}).get(deg)
+                if g is None:
                     continue
-                g = module.map_matrix(b, c, deg)
-                for i in range(module.rank(b, deg + 1)):
-                    ri = pos[deg + 1][(b, i)]
-                    for j in range(nc):
-                        if g[i][j]:
-                            mat[ri][pos[deg][(c, j)]] += g[i][j]
-        diffs[deg] = tuple(tuple(r) for r in mat)
-    cx = ChainComplex(ranks, diffs)
-    return cx, basis
+                c0 = start[deg, c]
+                for i, grow in enumerate(g):
+                    row = rows[r0 + i]
+                    for j, x in enumerate(grow):
+                        if x:
+                            row[c0 + j] = x
+    return ChainComplex(ranks, diffs), basis
 
 
 def local_complex(
@@ -277,7 +280,7 @@ def local_complex(
 
 
 def integer_kernel(
-    mat, ncols: int | None = None
+    mat, ncols: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """A basis of the integer kernel lattice of an integer matrix, and its
     coordinate rows.
@@ -286,18 +289,16 @@ def integer_kernel(
     columns of V past the pivots span the kernel lattice.  Each operation
     on V is paired with the row operation that undoes it on V^-1, so the
     matching rows of V^-1 give the coordinates of a kernel vector x:
-    x == sum over k of (coords[k] . x) * basis[k].  ncols gives the column
-    count of a matrix with no rows.
+    x == sum over k of (coords[k] . x) * basis[k].  mat is given by its
+    rows, each a dict column -> nonzero entry, and ncols is its width.
     """
-    rows = len(mat)
-    cols = ncols if ncols is not None else (len(mat[0]) if rows else 0)
-    a = [list(r) for r in mat]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    a = [[r.get(j, 0) for j in range(ncols)] for r in mat]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     vinv = [row[:] for row in v]
     r = 0
-    for i in range(rows):
+    for i in range(len(a)):
         while True:
-            nz = [j for j in range(r, cols) if a[i][j]]
+            nz = [j for j in range(r, ncols) if a[i][j]]
             if not nz:
                 break
             piv = min(nz, key=lambda j: abs(a[i][j]))
@@ -305,7 +306,7 @@ def integer_kernel(
                 row[r], row[piv] = row[piv], row[r]
             vinv[r], vinv[piv] = vinv[piv], vinv[r]
             done = True
-            for j in range(r + 1, cols):
+            for j in range(r + 1, ncols):
                 if a[i][j]:
                     q = a[i][j] // a[i][r]
                     for row in itertools.chain(a, v):
@@ -317,7 +318,7 @@ def integer_kernel(
                 r += 1
                 break
     # the pivot columns are independent, so the kernel columns are the rest
-    basis = [tuple(row[j] for row in v) for j in range(r, cols)]
+    basis = [tuple(row[j] for row in v) for j in range(r, ncols)]
     return basis, [tuple(row) for row in vinv[r:]]
 
 
@@ -352,7 +353,7 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
                 ]
             elif deg == cutoff:
                 sub_basis[deg], sub_coords[deg] = integer_kernel(
-                    cx.diff(deg), ncols=cx.rank(deg)
+                    cx.diff(deg), cx.rank(deg)
                 )
 
     # cone T of the inclusion: T^d = sub^{d+1} (+) L^d
@@ -370,7 +371,7 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
         # -d_sub on the shifted subcomplex part, in the target's coordinates
         dL = cx.diff(deg + 1)
         for j, vec in enumerate(source):
-            img = [sum(x * y for x, y in zip(row, vec)) for row in dL]
+            img = [sum(x * vec[k] for k, x in row.items()) for row in dL]
             coords = [
                 sum(x * y for x, y in zip(row, img))
                 for row in sub_coords.get(deg + 2, ())
@@ -386,11 +387,9 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
             # inclusion of the subcomplex into L, placed in the L block
             for i, x in enumerate(vec):
                 mat[kt + i][j] += x
-        d = cx.diff(deg)
-        for j in range(ls):
-            for i in range(lt):
-                if d[i][j]:
-                    mat[kt + i][ks + j] = d[i][j]
+        for i, row in enumerate(cx.diff(deg)):
+            for j, x in row.items():
+                mat[kt + i][ks + j] = x
         return mat
 
     # assemble the result module; the cone part T^d of the new piece at a
@@ -496,8 +495,9 @@ def attaching_map_rank(
     """Per-degree rank of the map between supported local cohomologies.
 
     The sub-poset below a1 includes into the one below a2; the induced map
-    sends an integer cocycle basis below a1 across, and its rank is taken
-    over the rationals.
+    sends an integer cocycle basis below a1 across.  Its rank over the
+    rationals is that of the boundaries below a2 with the images appended
+    as extra columns, less that of the boundaries alone.
     """
     a1, a2 = Face(a1), Face(a2)
     if not a1 <= a2:
@@ -506,26 +506,16 @@ def attaching_map_rank(
     c2, b2 = total_complex(module, [b for b in module.faces() if b <= a2])
     out = {}
     for deg in sorted(c1.ranks):
-        if not c1.rank(deg):
-            continue
-        pos2 = {lbl: i for i, lbl in enumerate(b2.get(deg, []))}
-        n2 = c2.rank(deg)
-        # cocycles of the source complex
-        cocycles, _ = integer_kernel(c1.diff(deg), ncols=c1.rank(deg))
-        images = []
-        for vec in cocycles:
-            img = [0] * n2
-            for j, lbl in enumerate(b1.get(deg, [])):
-                img[pos2[lbl]] = vec[j]
-            images.append(tuple(img))
-        boundaries = (
-            list(zip(*c2.diff(deg - 1)))
-            if c2.rank(deg - 1) and c2.rank(deg)
-            else []
-        )
-        base = snf.column_span_rank(boundaries)
-        total = snf.column_span_rank(boundaries + images)
-        rank = total - base
+        pos2 = {lbl: i for i, lbl in enumerate(b2[deg])}
+        cocycles, _ = integer_kernel(c1.diff(deg), c1.rank(deg))
+        boundaries = c2.diff(deg - 1)
+        rows = [dict(r) for r in boundaries]
+        n = c2.rank(deg - 1)
+        for k, vec in enumerate(cocycles):
+            for lbl, x in zip(b1[deg], vec):
+                if x:
+                    rows[pos2[lbl]][n + k] = x
+        rank = snf.qq_rank(rows) - snf.qq_rank(boundaries)
         if rank:
             out[deg] = rank
     return out

@@ -1,10 +1,13 @@
 """Exact integer and rational linear algebra.
 
-Matrices are tuples of row tuples over int or Fraction.  Everything here is
-exact: no floating point is used anywhere in the package.  `qq_rank`,
-`echelon` and `solve` accept int or Fraction entries; `snf_divisors` takes
-int entries only.  The integer kernel lattice, with coordinates, is
-`posetmod.integer_kernel`.
+Everything here is exact: no floating point is used anywhere in the
+package.  Two matrix forms are used.  `snf_divisors` (int entries) and
+`qq_rank` (int or Fraction entries) take a matrix as its rows, each a dict
+column -> nonzero entry: the form in which chain complexes store their
+differentials.  `echelon` and `solve` take dense matrices, sequences of row
+sequences over int or Fraction, as do `shape`, `zero_matrix` and
+`is_zero_matrix`, which serve the dense structure blocks of poset modules.
+The integer kernel lattice, with coordinates, is `posetmod.integer_kernel`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Matrix = Sequence[Sequence[int]]
+Rows = Sequence[dict]
 
 
 def shape(mat: Matrix) -> tuple[int, int]:
@@ -24,17 +28,6 @@ def shape(mat: Matrix) -> tuple[int, int]:
 
 def zero_matrix(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) * cols for _ in range(rows))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> tuple[tuple[int, ...], ...]:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValueError(f"shape mismatch {ra}x{ca} * {rb}x{cb}")
-    bt = list(zip(*b)) if rb else [[]] * cb
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -79,15 +72,16 @@ def echelon(mat: Iterable[Sequence]) -> tuple[list[list[int]], list[int], int]:
     return rows, pivots, d
 
 
-def _unit_reduce(mat: Matrix) -> tuple[int, list[list]]:
-    """Pivot on +-1 entries until none is left (Kaczynski-Mrozek-Slusarek).
+def _unit_reduce(mat: Rows) -> tuple[int, list[list]]:
+    """Pivot on +-1 entries of the rows until none is left
+    (Kaczynski-Mrozek-Slusarek).
 
     Each step takes the unit entry of least fill-in, (row nnz - 1) *
     (column nnz - 1), and replaces the matrix by its Schur complement; a
     unit pivot gives SNF(A) = 1 + SNF(A').  Returns the number of pivots
     and the dense remainder over its nonzero rows and columns.
     """
-    rows = {i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(mat)}
+    rows = {i: dict(r) for i, r in enumerate(mat) if r}
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
@@ -127,7 +121,7 @@ def _unit_reduce(mat: Matrix) -> tuple[int, list[list]]:
     return units, [[row.get(j, 0) for j in keep] for row in rows.values() if row]
 
 
-def qq_rank(mat: Matrix) -> int:
+def qq_rank(mat: Rows) -> int:
     """Rank over the rationals: unit pivots, then fraction-free elimination."""
     units, rest = _unit_reduce(mat)
     return units + len(echelon(rest)[1])
@@ -149,14 +143,7 @@ def solve(a: Matrix, b: Matrix) -> tuple[tuple[Fraction, ...], ...] | None:
     return tuple(x)
 
 
-def column_span_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of the span of the given vectors."""
-    if not vectors:
-        return 0
-    return qq_rank(list(zip(*vectors)))
-
-
-def snf_divisors(mat: Matrix) -> list[int]:
+def snf_divisors(mat: Rows) -> list[int]:
     """Nonzero diagonal entries d1 | d2 | ... of the Smith normal form.
 
     Unit pivots are eliminated first; the dense Smith loop below sees only

@@ -58,7 +58,13 @@ from .satake import (
     restrict_to_fiber,
     saturated_parabolics,
 )
-from .threads import build_thread, face_parabolic, ic_cutoffs, ic_module_with_marks
+from .threads import (
+    build_thread,
+    face_parabolic,
+    ic_cutoffs,
+    ic_module_with_marks,
+    thread_key,
+)
 
 
 @dataclass(frozen=True)
@@ -860,34 +866,48 @@ def _iter_ic_threads(typ, rank, lams):
                     yield P, c, kind
 
 
+def _deligne_failures(key) -> tuple[list, list]:
+    """The deligne violations of the thread with this profile.
+
+    Returns the faces whose local cohomology lives above the cutoff, and the
+    (face, degree) pairs up to the cutoff where it differs from the link's.
+    """
+    index_set, cuts, _ = key
+    thread = build_thread(key)
+    vanish, attach = [], []
+    # subsets order lists the proper faces first, as the cutoffs do
+    for a, cut in zip(subsets(index_set), cuts):
+        loc = local_complex(thread, a)[0].cohomology()
+        if any(d > cut for d in loc.degrees()):
+            vanish.append(sorted(a))
+            continue
+        link_faces = [b for b in thread.faces() if a < b]
+        link = total_complex(thread, link_faces)[0].cohomology()
+        lo = min(loc.degrees() + link.degrees(), default=0)
+        for j in range(lo, cut + 1):
+            if (loc.free_rank(j), loc.torsion(j)) != (
+                link.free_rank(j),
+                link.torsion(j),
+            ):
+                attach.append((sorted(a), j))
+    return vanish, attach
+
+
 def _suite_deligne(rec: _Recorder, **_):
+    # threads with equal profiles are equal modules: check each profile once
+    failures: dict[tuple, tuple[list, list]] = {}
     for typ, rank, lams in _DELIGNE_GRID:
         threads = 0
         bad_vanish, bad_attach = [], []
         for P, c, kind in _iter_ic_threads(typ, rank, lams):
             threads += 1
-            thread = build_thread("ic", P, c.w, kind=kind)
-            cuts = ic_cutoffs(P, c.w, kind)
-            full = frozenset(P.restricted_indices)
-            for a in subsets(P.restricted_indices):
-                if a == full:
-                    continue
-                cut = cuts[a]
-                loc = local_complex(thread, a)[0].cohomology()
-                if any(d > cut for d in loc.degrees()):
-                    bad_vanish.append((typ, c.w.reduced_word(), kind, sorted(a)))
-                    continue
-                link_faces = [b for b in thread.faces() if a < b]
-                link = total_complex(thread, link_faces)[0].cohomology()
-                lo = min(loc.degrees() + link.degrees(), default=0)
-                for j in range(lo, cut + 1):
-                    if (loc.free_rank(j), loc.torsion(j)) != (
-                        link.free_rank(j),
-                        link.torsion(j),
-                    ):
-                        bad_attach.append(
-                            (typ, c.w.reduced_word(), kind, sorted(a), j)
-                        )
+            key = thread_key("ic", P, c.w, kind=kind)
+            if key not in failures:
+                failures[key] = _deligne_failures(key)
+            vanish, attach = failures[key]
+            word = c.w.reduced_word()
+            bad_vanish += [(typ, word, kind, a) for a in vanish]
+            bad_attach += [(typ, word, kind, a, j) for a, j in attach]
         tag = f"{typ}{rank} ({threads} threads)"
         rec.add(
             f"deligne/stalk-vanishing-above-cutoff {tag}",

@@ -144,23 +144,14 @@ def thread_key(
     return P.restricted_indices, cuts, order
 
 
-def _build(key) -> PosetModule:
+def build_thread(key) -> PosetModule:
+    """The thread module with the given cutoff profile (see thread_key)."""
     index_set, cuts, order = key
     return ic_module(index_set, dict(zip(_proper_faces(index_set), cuts)), order)
 
 
-def build_thread(
-    family: str, P: Parabolic, w: WeylElement, *, kind=None, profile=None,
-    lam: Vec | None = None, order=None,
-) -> PosetModule:
-    """Build the isotypical thread of w over the face poset of P."""
-    return _build(
-        thread_key(family, P, w, kind=kind, profile=profile, lam=lam, order=order)
-    )
-
-
 # at most the last four builds, so a window and its attaching rank share one
-_thread_module = lru_cache(maxsize=4)(_build)
+_thread_module = lru_cache(maxsize=4)(build_thread)
 
 
 @lru_cache(maxsize=None)

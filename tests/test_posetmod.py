@@ -8,6 +8,7 @@ from math import inf
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_snf import _rows, sparse_entries
 
 from weylcoh import snf
 from weylcoh.posetmod import (
@@ -26,10 +27,10 @@ from weylcoh.posetmod import (
     pushforward_module,
     subsets,
     supported_local_cohomology,
+    total_complex,
     truncate_at,
 )
 from weylcoh.roots import build_root_system, enumerate_min_coset_reps, parabolic
-from weylcoh.snf import mat_mul
 from weylcoh.threads import ic_cutoffs
 
 CUT_VALUES = [-inf, -2, -1, 0, 1, 2, inf]
@@ -38,6 +39,11 @@ CUT_VALUES = [-inf, -2, -1, 0, 1, 2, inf]
 def _local(module, a):
     cx, _ = local_complex(module, a)
     return cx.cohomology()
+
+
+def _mat_mul(a, b):
+    """The dense product of a and b; b has at least one row."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def test_graded_abelian_repr():
@@ -56,7 +62,7 @@ def test_graded_abelian_shift():
 
 def test_chain_complex_torsion():
     # multiplication by 2 in one degree: Z/2 appears one degree up
-    cx = ChainComplex({0: 1, 1: 1}, {0: ((2,),)})
+    cx = ChainComplex({0: 1, 1: 1}, {0: [{0: 2}]})
     h = cx.cohomology()
     assert h.free_rank(0) == 0 and h.free_rank(1) == 0
     assert h.torsion(1) == (2,)
@@ -86,16 +92,106 @@ def test_chain_complex_torsion_behind_unit_entries():
         (u0, u0inv), (u1, u1inv), (u2, _) = (
             _unimodular(n, rng) for n in (2, 3, 2)
         )
-        d0 = mat_mul(mat_mul(u1, ((1, 0), (0, 0), (0, 0))), u0inv)
-        d1 = mat_mul(mat_mul(u2, ((0, 1, 0), (0, 0, 2))), u1inv)
+        d0 = _mat_mul(_mat_mul(u1, ((1, 0), (0, 0), (0, 0))), u0inv)
+        d1 = _mat_mul(_mat_mul(u2, ((0, 1, 0), (0, 0, 2))), u1inv)
         mixed += any(abs(x) == 1 for row in d1 for x in row)
-        cx = ChainComplex({0: 2, 1: 3, 2: 2}, {0: d0, 1: d1})
+        cx = ChainComplex({0: 2, 1: 3, 2: 2}, {0: _rows(d0), 1: _rows(d1)})
         cx.check()
         h = cx.cohomology()
         assert h.degrees() == [0, 2]
         assert h.free_rank(0) == 1 and h.torsion(0) == ()
         assert h.free_rank(2) == 0 and h.torsion(2) == (2,)
     assert mixed
+
+
+@given(st.integers(-2, 1), st.lists(st.integers(1, 4), min_size=2, max_size=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_dd_failure_is_first_nonzero_of_dense_product(low, ranks, data):
+    # random differentials, d.d = 0 or not: the sparse row product finds
+    # the first nonzero entry of the dense product, in (deg, i, j) order
+    dense = {
+        low + k: data.draw(
+            st.lists(
+                st.lists(sparse_entries, min_size=n, max_size=n),
+                min_size=m,
+                max_size=m,
+            )
+        )
+        for k, (n, m) in enumerate(zip(ranks, ranks[1:]))
+    }
+    cx = ChainComplex(
+        {low + k: n for k, n in enumerate(ranks)},
+        {deg: _rows(m) for deg, m in dense.items()},
+    )
+    expected = next(
+        (
+            (deg, i, j)
+            for deg in sorted(dense)
+            if deg + 1 in dense
+            for i, row in enumerate(_mat_mul(dense[deg + 1], dense[deg]))
+            for j, x in enumerate(row)
+            if x
+        ),
+        None,
+    )
+    assert cx.dd_failure() == expected
+
+
+def _dense_total_complex(module, faces):
+    """The total differential assembled dense through a label -> position map."""
+    faces = sorted(faces, key=face_key)
+    degs = sorted({d for b in faces for d in module.degrees(b)})
+    basis = {
+        deg: [(b, i) for b in faces for i in range(module.rank(b, deg))]
+        for deg in degs
+    }
+    pos = {deg: {lbl: i for i, lbl in enumerate(lbls)} for deg, lbls in basis.items()}
+    diffs = {}
+    for deg in degs:
+        if deg + 1 not in basis:
+            continue
+        mat = [[0] * len(basis[deg]) for _ in basis[deg + 1]]
+        for b in faces:
+            for c in faces:
+                if b <= c:
+                    g = module.map_matrix(b, c, deg)
+                    for i in range(module.rank(b, deg + 1)):
+                        for j in range(module.rank(c, deg)):
+                            mat[pos[deg + 1][b, i]][pos[deg][c, j]] += g[i][j]
+        diffs[deg] = mat
+    return diffs, basis
+
+
+def test_total_complex_matches_dense_assembly():
+    # every face set the engine takes a total complex over: above a, below
+    # a, r <= b <= a | r, and the faces not below a
+    rng = random.Random(11)
+    shapes = 0
+    for n in (2,) * 8 + (3,) * 8 + (4,) * 3:
+        module = _random_ic(rng, n)
+        faces = module.faces()
+        for a in subsets(range(n)):
+            face_sets = [
+                [b for b in faces if a <= b],
+                [b for b in faces if b <= a],
+                [b for b in faces if b and not b <= a],
+            ]
+            face_sets += [
+                [b for b in faces if r <= b <= a | r]
+                for r in subsets(module.index_set - a)
+                if r
+            ]
+            for fs in face_sets:
+                cx, basis = total_complex(module, fs)
+                dense, dense_basis = _dense_total_complex(module, fs)
+                assert basis == dense_basis
+                assert cx.ranks == {d: len(lbls) for d, lbls in basis.items()}
+                assert {
+                    deg: [[row.get(j, 0) for j in range(cx.rank(deg))] for row in rows]
+                    for deg, rows in cx.diffs.items()
+                } == dense
+                shapes += 1
+    assert shapes == 8 * 17 + 8 * 43 + 3 * 113
 
 
 def test_pushforward_base_value():
@@ -314,7 +410,7 @@ def _failing_triangles(module):
                 total = [[0] * cols for _ in range(rows)]
                 for b in faces:
                     if a <= b <= c and module.rank(b, deg + 1):
-                        prod = mat_mul(
+                        prod = _mat_mul(
                             module.map_matrix(a, b, deg + 1),
                             module.map_matrix(b, c, deg),
                         )

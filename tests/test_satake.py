@@ -141,7 +141,9 @@ def _module_fiber_entries(datum, R, family, lam, kind, profile, shriek):
             if not fiber_self_contragredient(datum, c):
                 continue
             thread = threads.build_thread(
-                family, P, c.w, kind=kind, profile=profile, lam=c.lam
+                threads.thread_key(
+                    family, P, c.w, kind=kind, profile=profile, lam=c.lam
+                )
             )
             restrict = shriek_oracle if shriek else star_oracle
             fiber = restrict(thread, a_R)

@@ -11,6 +11,7 @@ from weylcoh.threads import (
     face_parabolic,
     ic_cutoffs,
     ic_module_with_marks,
+    thread_key,
     wc_cutoffs,
     wc_keep,
 )
@@ -80,20 +81,20 @@ def test_wc_cutoffs_are_all_or_nothing():
         assert set(cuts.values()) <= {inf, -inf}
 
 
-def test_build_thread_validation():
+def test_thread_key_validation():
     sys, P = _c2_setup()
     e = sys.identity_element()
     with pytest.raises(ValueError):
-        build_thread("bogus", P, e)
+        thread_key("bogus", P, e)
     with pytest.raises(ValueError):
-        build_thread("ic", P, e)  # missing perversity kind
+        thread_key("ic", P, e)  # missing perversity kind
     with pytest.raises(ValueError):
-        build_thread("wc", P, e, profile="mu")  # missing highest weight
+        thread_key("wc", P, e, profile="mu")  # missing highest weight
 
 
 def test_build_thread_pushforward_shape():
     sys, P = _c2_setup()
-    m = build_thread("pushforward", P, sys.identity_element())
+    m = build_thread(thread_key("pushforward", P, sys.identity_element()))
     assert m.faces() == [frozenset({0, 1})]
     assert m.rank(frozenset({0, 1}), 0) == 1
 
