@@ -19,7 +19,6 @@ from .roots import (
     RootSystem,
     Vec,
     WeylElement,
-    bidegree,
     enumerate_min_coset_reps,
     levi_part,
     levi_split,
@@ -88,23 +87,6 @@ class KostantClass:
         return sum(
             (x * self.wlr[j] for x, j in zip(row, rest)), Fraction(0)
         )
-
-    def pairings(self) -> dict[int, Fraction]:
-        return {i: self.pairing(i) for i in self.P.restricted_indices}
-
-    def bidegrees(self) -> dict[frozenset, int]:
-        """Inversion counts inside each intermediate nilradical.
-
-        Keyed by the set of restricted indices adjoined to the Levi; the
-        empty set is P itself (full length) and the full set is G (zero).
-        """
-        out = {}
-        idx = self.P.restricted_indices
-        for mask in range(1 << len(idx)):
-            adjoined = frozenset(idx[k] for k in range(len(idx)) if mask >> k & 1)
-            Q = parabolic(self.system, self.P.levi | adjoined)
-            out[adjoined] = bidegree(self.w, Q)
-        return out
 
     def __repr__(self) -> str:
         return (

@@ -133,20 +133,6 @@ def micro_support(
     return entries
 
 
-def essential_micro_support(
-    family: str,
-    lam_coords,
-    system: RootSystem,
-    kind: str | None = None,
-    profile: str | None = None,
-) -> list[MicroSupportEntry]:
-    return [
-        e
-        for e in micro_support(family, lam_coords, system, kind, profile)
-        if e.essential
-    ]
-
-
 def classify_fundamental(entry: MicroSupportEntry) -> bool:
     """Whether an entry of a perversity family has the boundary-case shape.
 

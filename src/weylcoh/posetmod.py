@@ -1,17 +1,15 @@
-"""Graded modules over a parabolic face poset with degree-1 structure maps.
+"""Graded modules over a parabolic face poset with a degree-1 differential.
 
 The face poset of a base parabolic P0 is modeled by the subsets A of a finite
 index set I (the restricted simple roots of P0): A is the set of simple roots
 adjoined to the Levi of P0, so the empty set is P0 itself and the full set is
 the ambient group.  A module assigns to each face a graded free abelian group
-and to each pair A <= B a degree-1 integer matrix g_AB; these must satisfy
-
-    sum over A <= B <= C of g_AB . g_BC = 0
-
-for every pair A <= C, i.e. D.D = 0 for the total differential D that the
-g_AB assemble into.  The internal differential g_AA may be nonzero; the
-built families keep it zero on the open face.  Everything here is integer
-arithmetic.
+and carries one total differential D of degree 1, which may only map a
+generator at a face A to generators at faces B >= A; the module condition
+is D.D = 0.  D is stored as sparse rows, one per generator, and every total
+complex over a set of faces is a filter-and-renumber of those rows.  The
+internal part of D at a face may be nonzero; the built families keep it
+zero on the open face.  Everything here is integer arithmetic.
 
 Degrees are thread-normalized: the open-face piece of a pushforward sits in
 degree 0, and consumers working over a Kostant class w convert to total
@@ -25,7 +23,6 @@ from dataclasses import dataclass
 from math import inf
 
 from . import snf
-from .snf import zero_matrix
 
 Face = frozenset
 
@@ -164,7 +161,7 @@ class ChainComplex:
 class PosetModule:
     """Graded free-abelian data over the subset poset of index_set."""
 
-    def __init__(self, index_set, pieces, maps, check: bool = True):
+    def __init__(self, index_set, pieces, diff, check: bool = True):
         self.index_set = frozenset(index_set)
         # pieces: face -> {degree: rank}; only nonzero ranks stored
         self.pieces = {
@@ -172,19 +169,16 @@ class PosetModule:
             for a, degs in pieces.items()
         }
         self.pieces = {a: degs for a, degs in self.pieces.items() if degs}
-        # maps: (a, b) -> {degree: matrix}, a <= b, g: piece(b)^d -> piece(a)^{d+1}
-        self.maps = {}
-        for (a, b), mats in maps.items():
-            a, b = Face(a), Face(b)
-            if not a <= b:
-                raise ValueError("map target face is not below its source face")
-            kept = {
-                d: tuple(tuple(row) for row in m)
-                for d, m in mats.items()
-                if not snf.is_zero_matrix(m)
-            }
-            if kept:
-                self.maps[(a, b)] = kept
+        # diff[deg]: label (b, i) of a generator of degree deg + 1 -> its row,
+        # label (c, j) of a generator of degree deg -> nonzero entry, with
+        # b <= c and the labels in canonical (face_key(c), j) order
+        for rows in diff.values():
+            for (b, _), row in rows.items():
+                if not all(b <= c for c, _ in row):
+                    raise ValueError(
+                        "map target face is not below its source face"
+                    )
+        self.diff = diff
         if check:
             self.check_condition()
 
@@ -199,18 +193,10 @@ class PosetModule:
     def degrees(self, a: Face) -> list[int]:
         return sorted(self.pieces.get(a, {}))
 
-    def map_matrix(self, a: Face, b: Face, deg: int):
-        m = self.maps.get((a, b), {}).get(deg)
-        if m is None:
-            return zero_matrix(self.rank(a, deg + 1), self.rank(b, deg))
-        return m
-
     def check_condition(self) -> None:
         """Assert D.D = 0 for the total differential D over every face.
 
-        The (A, C) block of D.D is the sum of g_AB . g_BC over A <= B <= C,
-        so this is the module condition for all pairs at once; a failure
-        names the faces of its first nonzero entry.
+        A failure names the faces of the first nonzero entry of D.D.
         """
         cx, basis = total_complex(self, self.faces())
         bad = cx.dd_failure()
@@ -234,40 +220,27 @@ def total_complex(
 ) -> tuple[ChainComplex, dict[int, list[tuple[Face, int]]]]:
     """The total complex over the given faces, with its basis labels.
 
-    The face list must be closed under the structure maps that matter, i.e.
-    for b <= c both in the list the map contributes; maps leaving the list
-    are dropped.  Returns the complex and, per degree, the (face, index)
-    labels of its basis, in canonical face order.
+    The rows of the module's differential at these faces, with the entries
+    at faces outside the list dropped.  Returns the complex and, per
+    degree, the (face, index) labels of its basis, in canonical face order.
     """
     faces = sorted((Face(b) for b in faces), key=face_key)
-    basis: dict[int, list[tuple[Face, int]]] = {}
-    start: dict[tuple[int, Face], int] = {}  # (deg, face) -> first index
-    for deg in sorted({d for b in faces for d in module.degrees(b)}):
-        lbls = basis[deg] = []
-        for b in faces:
-            start[deg, b] = len(lbls)
-            lbls.extend((b, i) for i in range(module.rank(b, deg)))
-    ranks = {deg: len(lbls) for deg, lbls in basis.items()}
-    diffs = {
-        deg: [{} for _ in range(ranks[deg + 1])]
-        for deg in ranks
-        if deg + 1 in ranks
+    basis = {
+        deg: [(b, i) for b in faces for i in range(module.rank(b, deg))]
+        for deg in sorted({d for b in faces for d in module.degrees(b)})
     }
-    # faces c >= b in canonical order fill each row in ascending columns,
-    # the order in which snf._unit_reduce breaks ties between pivots
-    for deg, rows in diffs.items():
-        for k, b in enumerate(faces):
-            r0 = start[deg + 1, b]
-            for c in faces[k:]:
-                g = module.maps.get((b, c), {}).get(deg)
-                if g is None:
-                    continue
-                c0 = start[deg, c]
-                for i, grow in enumerate(g):
-                    row = rows[r0 + i]
-                    for j, x in enumerate(grow):
-                        if x:
-                            row[c0 + j] = x
+    ranks = {deg: len(lbls) for deg, lbls in basis.items()}
+    # rows keep their canonical label order, so the entries fall in
+    # ascending columns: the order in which snf._unit_reduce breaks ties
+    diffs = {}
+    for deg in ranks:
+        if deg + 1 in ranks:
+            pos = {lbl: j for j, lbl in enumerate(basis[deg])}
+            rows = module.diff.get(deg, {})
+            diffs[deg] = [
+                {pos[t]: x for t, x in rows.get(lbl, {}).items() if t in pos}
+                for lbl in basis[deg + 1]
+            ]
     return ChainComplex(ranks, diffs), basis
 
 
@@ -356,25 +329,32 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
                     cx.diff(deg), cx.rank(deg)
                 )
 
-    # cone T of the inclusion: T^d = sub^{d+1} (+) L^d
-    t_ranks: dict[int, int] = {}
-    for deg in range(degs[0] - 1, degs[-1] + 1):
-        n = len(sub_basis.get(deg + 1, ())) + cx.rank(deg)
+    # the cone T of the inclusion, T^d = sub^{d+1} (+) L^d, joins the piece
+    # at a in degree d + 1 after its old generators; every old row stays
+    pieces = dict(module.pieces)
+    new_a = dict(pieces.get(a, {}))
+    first: dict[int, int] = {}  # degree -> index at a of its first T generator
+    for deg in range(degs[0], degs[-1] + 2):
+        n = len(sub_basis.get(deg, ())) + cx.rank(deg - 1)
         if n:
-            t_ranks[deg] = n
-
-    def t_diff(deg: int):
-        source, target = sub_basis.get(deg + 1, ()), sub_basis.get(deg + 2, ())
-        ks, ls = len(source), cx.rank(deg)
-        kt, lt = len(target), cx.rank(deg + 1)
-        mat = [[0] * (ks + ls) for _ in range(kt + lt)]
-        # -d_sub on the shifted subcomplex part, in the target's coordinates
-        dL = cx.diff(deg + 1)
-        for j, vec in enumerate(source):
+            first[deg] = new_a.get(deg, 0)
+            new_a[deg] = first[deg] + n
+    pieces[a] = new_a
+    diff = {deg: dict(rows) for deg, rows in module.diff.items()}
+    # each T generator's row is its row of -d_T = [[d_sub, 0], [-incl, -d_L]]
+    # in the T generators one degree down, and a copy of a generator of L
+    # also maps by -1 to that generator
+    for deg, f in first.items():
+        rows = diff.setdefault(deg - 1, {})
+        source, target = sub_basis.get(deg - 1, ()), sub_basis.get(deg, ())
+        f0 = first.get(deg - 1)
+        dL = cx.diff(deg - 1)
+        images = []  # d_sub of each source vector, in the target's coordinates
+        for vec in source:
             img = [sum(x * vec[k] for k, x in row.items()) for row in dL]
             coords = [
                 sum(x * y for x, y in zip(row, img))
-                for row in sub_coords.get(deg + 2, ())
+                for row in sub_coords.get(deg, ())
             ]
             rebuilt = [
                 sum(c * v[i] for c, v in zip(coords, target))
@@ -382,70 +362,21 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
             ]
             if rebuilt != img:
                 raise AssertionError("vector outside subcomplex basis span")
-            for i, x in enumerate(coords):
-                mat[i][j] = -x
-            # inclusion of the subcomplex into L, placed in the L block
-            for i, x in enumerate(vec):
-                mat[kt + i][j] += x
-        for i, row in enumerate(cx.diff(deg)):
-            for j, x in row.items():
-                mat[kt + i][ks + j] = x
-        return mat
-
-    # assemble the result module; the cone part T^d of the new piece at a
-    # sits in degree d + 1, after the original piece
-    pieces = {b: dict(degs_) for b, degs_ in module.pieces.items()}
-    new_a: dict[int, int] = dict(pieces.get(a, {}))
-    for deg, n in t_ranks.items():
-        new_a[deg + 1] = new_a.get(deg + 1, 0) + n
-    if new_a:
-        pieces[a] = new_a
-    maps = {k: dict(v) for k, v in module.maps.items()}
-
-    # maps out of a toward smaller faces act by zero on the new cone part
-    for (b, c) in list(maps):
-        if c == a and b != a:
-            padded = {}
-            for d, m in maps[(b, c)].items():
-                cols = new_a.get(d, 0)
-                padded[d] = tuple(
-                    tuple(row) + (0,) * (cols - len(row)) for row in m
-                )
-            maps[(b, c)] = padded
-
-    # maps from the faces c >= a into a: [g_AC ; -phi_AC], where phi_AC
-    # includes piece(c) into the L block of T; at c = a the cone part also
-    # carries its own differential -d_T
-    pos_in_L = {
-        deg: {lbl: i for i, lbl in enumerate(lbls)}
-        for deg, lbls in basis.items()
-    }
-    for c in sorted(pieces, key=face_key):
-        if not a <= c:
-            continue
-        mats = {}
-        for deg in sorted(pieces[c]):
-            rows = new_a.get(deg + 1, 0)
-            cols = pieces[c][deg]
-            if not rows or not cols:
-                continue
-            mat = [[0] * cols for _ in range(rows)]
-            for i, row in enumerate(module.map_matrix(a, c, deg)):
-                mat[i][: len(row)] = row
-            top = module.rank(a, deg + 1)
-            offset = top + len(sub_basis.get(deg + 1, ()))
-            for j in range(module.rank(c, deg)):
-                mat[offset + pos_in_L[deg][(c, j)]][j] = -1
-            if c == a:
-                for i, row in enumerate(t_diff(deg - 1)):
-                    mat[top + i][module.rank(a, deg):] = [-x for x in row]
-            mats[deg] = tuple(tuple(r) for r in mat)
-        if mats:
-            maps[(a, c)] = mats
-        elif (a, c) in maps:
-            del maps[(a, c)]
-
-    return PosetModule(module.index_set, pieces, maps)
+            images.append(coords)
+        for s in range(len(target)):
+            row = {(a, f0 + j): c[s] for j, c in enumerate(images) if c[s]}
+            if row:
+                rows[a, f + s] = row
+        below = cx.diff(deg - 2)
+        for p, lbl in enumerate(basis.get(deg - 1, ())):
+            cone = {(a, f0 + j): -v[p] for j, v in enumerate(source) if v[p]}
+            for q, x in below[p].items():
+                cone[a, f0 + len(source) + q] = -x
+            # an old generator at a sorts before the T generators there
+            rows[a, f + len(target) + p] = (
+                {lbl: -1, **cone} if lbl[0] == a else {**cone, lbl: -1}
+            )
+    return PosetModule(module.index_set, pieces, diff)
 
 
 def ic_module(index_set, cutoffs: dict, order=None) -> PosetModule:

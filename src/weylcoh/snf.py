@@ -1,13 +1,12 @@
 """Exact integer and rational linear algebra.
 
 Everything here is exact: no floating point is used anywhere in the
-package.  Two matrix forms are used.  `snf_divisors` (int entries) and
-`qq_rank` (int or Fraction entries) take a matrix as its rows, each a dict
-column -> nonzero entry: the form in which chain complexes store their
-differentials.  `echelon` and `solve` take dense matrices, sequences of row
-sequences over int or Fraction, as do `shape`, `zero_matrix` and
-`is_zero_matrix`, which serve the dense structure blocks of poset modules.
-The integer kernel lattice, with coordinates, is `posetmod.integer_kernel`.
+package.  A matrix is held as its rows, each a dict column -> nonzero
+entry: the form in which chain complexes store their differentials, and
+the one `snf_divisors` (int entries) and `qq_rank` (int or Fraction
+entries) take.  Only `echelon` and `solve` work on dense matrices,
+sequences of row sequences over int or Fraction.  The integer kernel
+lattice, with coordinates, is `posetmod.integer_kernel`.
 """
 
 from __future__ import annotations
@@ -18,20 +17,6 @@ from typing import Iterable, Sequence
 
 Matrix = Sequence[Sequence[int]]
 Rows = Sequence[dict]
-
-
-def shape(mat: Matrix) -> tuple[int, int]:
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    return rows, cols
-
-
-def zero_matrix(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((0,) * cols for _ in range(rows))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def echelon(mat: Iterable[Sequence]) -> tuple[list[list[int]], list[int], int]:
@@ -133,7 +118,7 @@ def solve(a: Matrix, b: Matrix) -> tuple[tuple[Fraction, ...], ...] | None:
     X is unique when a has full column rank; otherwise the unknowns at free
     columns are set to 0.
     """
-    n = shape(a)[1]
+    n = len(a[0]) if a else 0
     rows, pivots, d = echelon([*ra, *rb] for ra, rb in zip(a, b))
     if pivots and pivots[-1] >= n:
         return None

@@ -1,16 +1,18 @@
 """Detection of classes by supported cohomology, and degree bookkeeping."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 from math import inf
 
 import pytest
 from conftest import THREAD_CACHES, WEYL_CACHES
 
+import weylcoh
 from weylcoh import kostant, roots, threads
 from weylcoh.microsupport import (
     RealFormOracle,
     classify_fundamental,
-    essential_micro_support,
     global_degree_bounds,
     micro_support,
 )
@@ -40,7 +42,7 @@ def test_essential_subset():
     sys = build_root_system("C", 2)
     for kind in ("m", "n"):
         all_ = micro_support("ic", (0, 0), sys, kind=kind)
-        ess = essential_micro_support("ic", (0, 0), sys, kind=kind)
+        ess = [e for e in all_ if e.essential]
         keys = {(e.P.levi, e.cls.degree, tuple(e.cls.mu)) for e in all_}
         for e in ess:
             assert (e.P.levi, e.cls.degree, tuple(e.cls.mu)) in keys
@@ -49,7 +51,9 @@ def test_essential_subset():
 def test_essential_is_exactly_the_trivial_class():
     sys = build_root_system("C", 2)
     for kind in ("m", "n"):
-        ess = essential_micro_support("ic", (1, 1), sys, kind=kind)
+        ess = [
+            e for e in micro_support("ic", (1, 1), sys, kind=kind) if e.essential
+        ]
         assert len(ess) == 1
         assert ess[0].P.is_full and ess[0].cls.degree == 0
 
@@ -148,6 +152,19 @@ def test_cache_list_covers_every_root_and_kostant_cache():
         if hasattr(f, "cache_clear") and f.__module__ == module.__name__
     }
     assert defined == set(WEYL_CACHES)
+
+
+def test_cache_list_covers_every_cache():
+    # every lru cache defined in any weylcoh module is one the cold/warm
+    # tests clear
+    defined = set()
+    for info in pkgutil.iter_modules(weylcoh.__path__):
+        module = importlib.import_module(f"weylcoh.{info.name}")
+        defined |= {
+            f for f in vars(module).values()
+            if hasattr(f, "cache_clear") and f.__module__ == module.__name__
+        }
+    assert defined == set(THREAD_CACHES + WEYL_CACHES)
 
 
 def test_micro_support_same_cold_and_warm(clear_thread_caches):

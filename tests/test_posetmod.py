@@ -46,6 +46,40 @@ def _mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def _block(module, b, c, deg):
+    """The dense block g_bc: piece(c)^deg -> piece(b)^(deg+1) of the differential."""
+    rows = module.diff.get(deg, {})
+    return [
+        [rows.get((b, i), {}).get((c, j), 0) for j in range(module.rank(c, deg))]
+        for i in range(module.rank(b, deg + 1))
+    ]
+
+
+def _blocks(module):
+    """The nonzero blocks g_bc of the differential: (b, c) -> {deg: matrix}."""
+    maps = {}
+    for deg, rows in module.diff.items():
+        for (b, _), row in rows.items():
+            for c, _ in row:
+                mats = maps.setdefault((b, c), {})
+                if deg not in mats:
+                    mats[deg] = _block(module, b, c, deg)
+    return maps
+
+
+def _module(index_set, pieces, maps, check=True):
+    """The module whose differential has the given dense blocks g_bc."""
+    diff = {}
+    for (b, c), mats in sorted(maps.items(), key=lambda kv: face_key(kv[0][1])):
+        for deg, m in mats.items():
+            rows = diff.setdefault(deg, {})
+            for i, mrow in enumerate(m):
+                for j, x in enumerate(mrow):
+                    if x:
+                        rows.setdefault((b, i), {})[c, j] = x
+    return PosetModule(index_set, pieces, diff, check=check)
+
+
 def test_graded_abelian_repr():
     assert repr(GradedAbelian()) == "0"
     assert repr(GradedAbelian.from_dict({0: (1, ())})) == "Z"
@@ -154,7 +188,7 @@ def _dense_total_complex(module, faces):
         for b in faces:
             for c in faces:
                 if b <= c:
-                    g = module.map_matrix(b, c, deg)
+                    g = _block(module, b, c, deg)
                     for i in range(module.rank(b, deg + 1)):
                         for j in range(module.rank(c, deg)):
                             mat[pos[deg + 1][b, i]][pos[deg][c, j]] += g[i][j]
@@ -162,35 +196,34 @@ def _dense_total_complex(module, faces):
     return diffs, basis
 
 
+def _face_sets(module):
+    """Every face set the engine takes a total complex over: above a, below
+    a, the faces not below a, and r <= b <= a | r, for every face a."""
+    faces = module.faces()
+    for a in subsets(module.index_set):
+        yield [b for b in faces if a <= b]
+        yield [b for b in faces if b <= a]
+        yield [b for b in faces if b and not b <= a]
+        for r in subsets(module.index_set - a):
+            if r:
+                yield [b for b in faces if r <= b <= a | r]
+
+
 def test_total_complex_matches_dense_assembly():
-    # every face set the engine takes a total complex over: above a, below
-    # a, r <= b <= a | r, and the faces not below a
     rng = random.Random(11)
     shapes = 0
     for n in (2,) * 8 + (3,) * 8 + (4,) * 3:
         module = _random_ic(rng, n)
-        faces = module.faces()
-        for a in subsets(range(n)):
-            face_sets = [
-                [b for b in faces if a <= b],
-                [b for b in faces if b <= a],
-                [b for b in faces if b and not b <= a],
-            ]
-            face_sets += [
-                [b for b in faces if r <= b <= a | r]
-                for r in subsets(module.index_set - a)
-                if r
-            ]
-            for fs in face_sets:
-                cx, basis = total_complex(module, fs)
-                dense, dense_basis = _dense_total_complex(module, fs)
-                assert basis == dense_basis
-                assert cx.ranks == {d: len(lbls) for d, lbls in basis.items()}
-                assert {
-                    deg: [[row.get(j, 0) for j in range(cx.rank(deg))] for row in rows]
-                    for deg, rows in cx.diffs.items()
-                } == dense
-                shapes += 1
+        for fs in _face_sets(module):
+            cx, basis = total_complex(module, fs)
+            dense, dense_basis = _dense_total_complex(module, fs)
+            assert basis == dense_basis
+            assert cx.ranks == {d: len(lbls) for d, lbls in basis.items()}
+            assert {
+                deg: [[row.get(j, 0) for j in range(cx.rank(deg))] for row in rows]
+                for deg, rows in cx.diffs.items()
+            } == dense
+            shapes += 1
     assert shapes == 8 * 17 + 8 * 43 + 3 * 113
 
 
@@ -198,6 +231,14 @@ def test_pushforward_base_value():
     for n in (1, 2, 3, 4):
         m = pushforward_module(range(n))
         assert repr(_local(m, frozenset())) == "Z"
+
+
+def test_differential_must_point_up_the_poset():
+    # a generator at {1} may not map to one at {0}, which is not above it
+    pieces = {frozenset({0}): {0: 1}, frozenset({1}): {1: 1}}
+    diff = {0: {(frozenset({1}), 0): {(frozenset({0}), 0): 1}}}
+    with pytest.raises(ValueError, match="not below its source face"):
+        PosetModule((0, 1), pieces, diff)
 
 
 def test_open_face_never_truncated():
@@ -295,9 +336,9 @@ def shriek_oracle(module: PosetModule, a) -> PosetModule:
     a = frozenset(a)
     pieces = {b: dict(degs) for b, degs in module.pieces.items() if b <= a}
     maps = {
-        (b, c): dict(mats) for (b, c), mats in module.maps.items() if c <= a
+        (b, c): dict(mats) for (b, c), mats in _blocks(module).items() if c <= a
     }
-    return PosetModule(sorted(a), pieces, maps, check=False)
+    return _module(sorted(a), pieces, maps, check=False)
 
 
 def star_oracle(module: PosetModule, a) -> PosetModule:
@@ -319,7 +360,7 @@ def star_oracle(module: PosetModule, a) -> PosetModule:
                 degs[d] = degs.get(d, 0) + module.rank(c, d)
         pieces[b], offsets[b] = degs, offs
     maps: dict = {}
-    for (c1, c2), mats in module.maps.items():
+    for (c1, c2), mats in _blocks(module).items():
         b1, b2 = c1 & a, c2 & a
         for d, m in mats.items():
             block = maps.setdefault((b1, b2), {}).setdefault(
@@ -331,7 +372,7 @@ def star_oracle(module: PosetModule, a) -> PosetModule:
             for i, row in enumerate(m):
                 for j, x in enumerate(row):
                     block[ro + i][co + j] += x
-    return PosetModule(sorted(a), pieces, maps, check=False)
+    return _module(sorted(a), pieces, maps, check=False)
 
 
 def test_restrictions_are_faces_of_the_module():
@@ -411,8 +452,8 @@ def _failing_triangles(module):
                 for b in faces:
                     if a <= b <= c and module.rank(b, deg + 1):
                         prod = _mat_mul(
-                            module.map_matrix(a, b, deg + 1),
-                            module.map_matrix(b, c, deg),
+                            _block(module, a, b, deg + 1),
+                            _block(module, b, c, deg),
                         )
                         for i, row in enumerate(prod):
                             for j, x in enumerate(row):
@@ -439,16 +480,16 @@ def test_module_condition_rejects_unit_changes(data):
         if module.rank(b, deg + 1)
     ]
     b, c, deg = data.draw(st.sampled_from(slots))
-    mat = [list(row) for row in module.map_matrix(b, c, deg)]
+    mat = _block(module, b, c, deg)
     i = data.draw(st.integers(0, len(mat) - 1))
     j = data.draw(st.integers(0, len(mat[0]) - 1))
     mat[i][j] += data.draw(st.sampled_from((1, -1)))
-    maps = {k: dict(v) for k, v in module.maps.items()}
+    maps = _blocks(module)
     maps.setdefault((b, c), {})[deg] = mat
-    changed = PosetModule(module.index_set, module.pieces, maps, check=False)
+    changed = _module(module.index_set, module.pieces, maps, check=False)
     failing = _failing_triangles(changed)
     try:
-        PosetModule(module.index_set, module.pieces, maps)
+        _module(module.index_set, module.pieces, maps)
     except AssertionError as err:
         found = re.fullmatch(
             r"module condition fails between (\[.*?\]) and (\[.*?\]) "
