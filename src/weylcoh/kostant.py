@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .roots import (
     Parabolic,
@@ -145,15 +147,33 @@ def is_self_contragredient(c: KostantClass) -> bool:
     return levi_self_dual(c.system, c.P.levi, c.mu_coords)
 
 
+@lru_cache(maxsize=None)
+def _pairing_rows(system: RootSystem, levi: frozenset) -> tuple:
+    """The rows of levi_split's S, each scaled by the lcm of its denominators.
+
+    Row k against d * w(lambda+rho) has the sign of the pairing with the
+    k-th restricted simple root (d > 0 as in scaled_lam_rho).
+    """
+    _, s = levi_split(system, levi)
+    out = []
+    for row in s:
+        den = lcm(*(x.denominator for x in row))
+        out.append(tuple(int(x * den) for x in row))
+    return tuple(out)
+
+
 def bracketing_parabolics(c: KostantClass) -> tuple[Parabolic, Parabolic]:
     """Parabolics bracketing where the thread is locally detectable.
 
     The lower one adjoins the strictly negative pairings, the upper one the
-    nonpositive ones; they coincide exactly when no pairing vanishes.
+    nonpositive ones; they coincide exactly when no pairing vanishes.  Only
+    the signs count, so they are read in integers.
     """
+    rest = c.P.restricted_indices
+    wlr = c.w.apply_coords(scaled_lam_rho(c.system, c.lam)[0])
     neg, nonpos = set(), set()
-    for i in c.P.restricted_indices:
-        v = c.pairing(i)
+    for i, row in zip(rest, _pairing_rows(c.system, c.P.levi)):
+        v = sum(x * wlr[j] for x, j in zip(row, rest))
         if v < 0:
             neg.add(i)
         if v <= 0:

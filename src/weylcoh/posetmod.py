@@ -300,17 +300,24 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
 
     Forms the mapping cone of the adjunction from the module to the pushed
     forward truncated local complex, shifted down by one.  +inf returns the
-    module unchanged; -inf kills the local cohomology at a entirely.
+    module unchanged; -inf kills the local cohomology at a entirely.  The
+    cone is returned as built, with its contractible pairs.
     """
-    a = Face(a)
+    cone = _cone(module, Face(a), cutoff)
+    return module if cone is None else PosetModule(module.index_set, *cone)
+
+
+def _cone(module: PosetModule, a: Face, cutoff):
+    """The (pieces, diff) of truncate_at's cone, unchecked; None when the
+    truncation leaves the module as it is."""
     if a == module.index_set:
         raise ValueError("the open face is never truncated")
     if cutoff == inf:
-        return module
+        return None
     cx, basis = local_complex(module, a)
     degs = sorted(cx.ranks)
     if not degs:
-        return module
+        return None
 
     # tau_{<= cutoff} as the subcomplex (full below the cutoff, kernel at
     # it), with the coordinate rows of each basis (identity below the cutoff)
@@ -376,7 +383,67 @@ def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
             rows[a, f + len(target) + p] = (
                 {lbl: -1, **cone} if lbl[0] == a else {**cone, lbl: -1}
             )
-    return PosetModule(module.index_set, pieces, diff)
+    return pieces, diff
+
+
+def _cancel_units(index_set, pieces, diff) -> PosetModule:
+    """The module left after cancelling every +-1 entry of D inside a face.
+
+    Pivoting on a unit D[y0][x0] with y0 and x0 at one face A (Gaussian
+    elimination, or algebraic Morse theory: Skoldberg, Trans. AMS 2006)
+    removes x0 and y0 and changes D[y][x] only where face(y) <= A <=
+    face(x).  So D' is again a module differential, and the total complex
+    over any convex set of faces keeps its cohomology, torsion included.
+    Rows are visited in canonical order until no unit is left inside a
+    face; the survivors of each (face, degree) keep their order.
+    """
+    # a generator is (degree, (face, index)); rows[y][x] = D[y][x]
+    rows = {
+        (deg + 1, y): {(deg, x): v for x, v in r.items()}
+        for deg, rs in diff.items()
+        for y, r in rs.items()
+    }
+    cols: dict = {}
+    for y, r in rows.items():
+        for x in r:
+            cols.setdefault(x, set()).add(y)
+
+    def order(g):
+        return g[0], face_key(g[1][0]), g[1][1]
+
+    gone = set()
+    todo = sorted(rows, key=order)
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for y0 in todo:
+            x0 = min(
+                (x for x, v in rows.get(y0, {}).items()
+                 if x[1][0] == y0[1][0] and v * v == 1),
+                key=order, default=None,
+            )
+            if x0 is not None:
+                snf._pivot(rows, cols, y0, x0)
+                # x0's own row and y0's own column go too
+                for x in rows.pop(x0, {}):
+                    cols[x].discard(x0)
+                for y in cols.pop(y0, ()):
+                    del rows[y][y0]
+                gone.update((x0, y0))
+                pivoted = True
+    new, kept_pieces = {}, {}  # (degree, old label) -> new label
+    for b, degs in pieces.items():
+        for deg, n in degs.items():
+            kept = [i for i in range(n) if (deg, (b, i)) not in gone]
+            new.update({(deg, (b, i)): (b, j) for j, i in enumerate(kept)})
+            kept_pieces.setdefault(b, {})[deg] = len(kept)
+    kept_diff: dict = {}
+    for y, r in rows.items():
+        if r:
+            kept_diff.setdefault(y[0] - 1, {})[new[y]] = {
+                new[x]: r[x] for x in sorted(r, key=order)
+            }
+    return PosetModule(index_set, kept_pieces, kept_diff)
 
 
 def ic_module(index_set, cutoffs: dict, order=None) -> PosetModule:
@@ -409,7 +476,9 @@ def _successive_truncation(
         if marks is not None:
             cx, _ = local_complex(module, a)
             marks[a] = any(d > cut for d in cx.cohomology().degrees())
-        module = truncate_at(module, a, cut)
+        cone = _cone(module, a, cut)
+        if cone is not None:
+            module = _cancel_units(module.index_set, *cone)
     return module
 
 

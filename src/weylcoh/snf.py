@@ -57,6 +57,30 @@ def echelon(mat: Iterable[Sequence]) -> tuple[list[list[int]], list[int], int]:
     return rows, pivots, d
 
 
+def _pivot(rows: dict, cols: dict, pi, pj) -> None:
+    """Eliminate on the unit p = rows[pi][pj]: row pi and column pj go, and
+    every other row i becomes row i - rows[i][pj] * p * row pi.
+
+    rows maps a row key to its dict column -> nonzero entry, and cols maps
+    a column key to the set of rows with an entry there; both are updated.
+    """
+    prow = rows.pop(pi)
+    p = prow.pop(pj)
+    for j in prow:
+        cols[j].discard(pi)
+    for i in cols.pop(pj) - {pi}:
+        row = rows[i]
+        f = row.pop(pj) * p
+        for j, y in prow.items():
+            v = row.get(j, 0) - f * y
+            if v:
+                row[j] = v
+                cols[j].add(i)
+            else:
+                del row[j]
+                cols[j].discard(i)
+
+
 def _unit_reduce(mat: Rows) -> tuple[int, list[list]]:
     """Pivot on +-1 entries of the rows until none is left
     (Kaczynski-Mrozek-Slusarek).
@@ -85,22 +109,7 @@ def _unit_reduce(mat: Rows) -> tuple[int, list[list]]:
                 break
         if best is None:
             break
-        _, pi, pj = best
-        prow = rows.pop(pi)
-        p = prow.pop(pj)
-        for j in prow:
-            cols[j].discard(pi)
-        for i in cols.pop(pj) - {pi}:
-            row = rows[i]
-            f = row.pop(pj) * p
-            for j, y in prow.items():
-                v = row.get(j, 0) - f * y
-                if v:
-                    row[j] = v
-                    cols[j].add(i)
-                else:
-                    del row[j]
-                    cols[j].discard(i)
+        _pivot(rows, cols, best[1], best[2])
         units += 1
     keep = sorted(j for j, rs in cols.items() if rs)
     return units, [[row.get(j, 0) for j in keep] for row in rows.values() if row]

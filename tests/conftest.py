@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from weylcoh import roots, threads
+from weylcoh import kostant, roots, threads
 
 # every per-process cache of the thread layer
 THREAD_CACHES = (
@@ -20,6 +20,7 @@ WEYL_CACHES = (
     roots.levi_split,
     roots.scaled_lam_rho,
     roots.longest_levi_element,
+    kostant._pairing_rows,
 )
 
 

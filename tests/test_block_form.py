@@ -11,12 +11,11 @@ every face set the engine uses, basis labels, rows and entry order alike
 import random
 from math import inf
 
-from test_posetmod import CUT_VALUES, _face_sets
+from test_posetmod import CUT_VALUES, _face_sets, unreduced_ic_module
 
 from weylcoh.posetmod import (
     ChainComplex,
     face_key,
-    ic_module,
     integer_kernel,
     subsets,
     total_complex,
@@ -179,14 +178,16 @@ def block_ic_module(index_set, cutoffs):
 
 
 def test_total_complex_matches_block_form():
-    # ic modules, and each truncated once more at a face that already
+    # unreduced ic modules (ic_module cancels unit pairs, the block form
+    # does not), and each truncated once more at a face that already
     # carries a piece, as the truncation contract does
     rng = random.Random(7)
     face_sets = 0
     for n in (2,) * 20 + (3,) * 20 + (4,) * 10:
         idx = tuple(range(n))
         cuts = {a: rng.choice(CUT_VALUES) for a in subsets(idx)[:-1]}
-        rows, blocks = ic_module(idx, cuts), block_ic_module(idx, cuts)
+        rows = unreduced_ic_module(idx, cuts)
+        blocks = block_ic_module(idx, cuts)
         a, t = rng.choice(subsets(idx)[:-1]), rng.choice(CUT_VALUES)
         pairs = [
             (rows, blocks),

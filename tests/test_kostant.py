@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from weylcoh.kostant import (
     bracketing_parabolics,
     is_self_contragredient,
+    kostant_class,
     kostant_decomposition,
     levi_self_dual,
 )
@@ -18,6 +19,7 @@ from weylcoh.posetmod import subsets
 from weylcoh.roots import (
     bidegree,
     build_root_system,
+    enumerate_min_coset_reps,
     factorize,
     levi_part,
     longest_levi_element,
@@ -86,6 +88,42 @@ def test_bracketing_parabolics_nested():
         assert c.P <= q_lo <= q_hi
         if all(v != 0 for v in _pairings(c).values()):
             assert q_lo.levi == q_hi.levi
+
+
+def _bracketing_by_pairing(typ, rank, values):
+    """Compare bracketing_parabolics with the signs of the Fraction pairings
+    on every class of every proper parabolic, at every weight with
+    fundamental coordinates in values; returns the number of classes."""
+    sys = build_root_system(typ, rank)
+    count = 0
+    for levi in subsets(range(rank))[:-1]:
+        P = parabolic(sys, levi)
+        reps = list(enumerate_min_coset_reps(P))
+        for coords in itertools.product(values, repeat=rank):
+            lam = sys.weight_from_fundamental(coords)
+            for w in reps:
+                c = kostant_class(P, w, lam)
+                pairs = _pairings(c)
+                q_lo, q_hi = bracketing_parabolics(c)
+                assert q_lo.levi == P.levi | {i for i, v in pairs.items() if v < 0}
+                assert q_hi.levi == P.levi | {i for i, v in pairs.items() if v <= 0}
+                count += 1
+    return count
+
+
+def test_bracketing_signs_match_pairing():
+    # the integer signs agree with the Fraction pairings at every weight in
+    # {0, 1, 2}^rank up to rank 3, and in {0, 1}^4 on C4 (the full C4 grid
+    # is the opt-in test below)
+    small = (("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3))
+    counts = [_bracketing_by_pairing(typ, rank, (0, 1, 2)) for typ, rank in small]
+    assert sum(counts) == 10278
+    assert _bracketing_by_pairing("C", 4, (0, 1)) == 27136
+
+
+@pytest.mark.exhaustive
+def test_bracketing_signs_match_pairing_c4_grid():
+    assert _bracketing_by_pairing("C", 4, (0, 1, 2)) == 137376
 
 
 def test_self_contragredience_split():

@@ -260,6 +260,15 @@ def test_cut_one_vertex():
     assert _local(m, frozenset()).is_zero
 
 
+def unreduced_ic_module(index_set, cutoffs):
+    """ic_module without the unit cancellation: the pushforward, then the
+    cone of truncate_at at every proper face in decreasing face order."""
+    module = pushforward_module(index_set)
+    for a in sorted(cutoffs, key=face_key, reverse=True):
+        module = truncate_at(module, a, cutoffs[a])
+    return module
+
+
 def _random_ic(rng, n):
     idx = tuple(range(n))
     cuts = {
@@ -426,10 +435,11 @@ def test_spectral_page_rejects_trivial_subsimplex():
 
 @lru_cache(maxsize=None)
 def _c3_borel_modules():
-    """The ic modules of the 96 C3 Borel profiles (48 elements, m and n)."""
+    """The unreduced ic modules of the 96 C3 Borel profiles (48 elements,
+    m and n): reduced modules can have no structure map left to perturb."""
     P = parabolic(build_root_system("C", 3), ())
     return tuple(
-        ic_module(P.restricted_indices, ic_cutoffs(P, w, kind))
+        unreduced_ic_module(P.restricted_indices, ic_cutoffs(P, w, kind))
         for w in enumerate_min_coset_reps(P)
         for kind in ("m", "n")
     )
