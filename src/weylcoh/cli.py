@@ -201,10 +201,8 @@ def cmd_kostant(cfg: RunConfig, out) -> int:
     P = parabolic(system, cfg.levi)
     rows = []
     for c in kostant_decomposition(cfg.lam, P):
-        signs = []
-        for i in P.restricted_indices:
-            v = c.pairing(i)
-            signs.append("0" if v == 0 else ("+" if v > 0 else "-"))
+        signs = ["0" if v == 0 else ("+" if v > 0 else "-")
+                 for v in c.scaled_pairings()]
         rows.append(
             [
                 "".join(str(x + 1) for x in c.w.reduced_word()) or "e",

@@ -6,7 +6,10 @@ isotypical threads indexed by minimal coset representatives w, with Levi
 highest weight w(lambda+rho)-rho sitting in degree len(w).  This module
 computes those weights, their central characters on the split torus of the
 Levi, the self-contragredience test, and the pair of parabolics bracketing
-where a thread can carry supported cohomology.
+where a thread can carry supported cohomology.  A class keeps
+w(lambda+rho) as an integer vector with one denominator; the sign and
+self-duality tests read it against integer rows cached per (system, Levi),
+and Fractions are built only for output.
 """
 
 from __future__ import annotations
@@ -34,19 +37,26 @@ from .roots import (
 class KostantClass:
     """One isotypical summand of the nilradical cohomology of P.
 
-    lam and wlr = w(lambda+rho) are in simple-root coordinates; mu, xi and
-    mu_semisimple are ambient vectors, for output.
+    lam is in simple-root coordinates; wlr_scaled = w(den * (lambda+rho)),
+    with den from scaled_lam_rho, is what the sign and duality tests read.
+    wlr, mu, xi and mu_semisimple are views for output (mu, xi ambient).
     """
 
     P: Parabolic
     w: WeylElement
     lam: Vec
-    wlr: Vec
+    wlr_scaled: tuple[int, ...]
+    den: int
     degree: int
 
     @property
     def system(self) -> RootSystem:
         return self.P.system
+
+    @property
+    def wlr(self) -> Vec:
+        """w(lambda+rho) in simple-root coordinates."""
+        return tuple(Fraction(x, self.den) for x in self.wlr_scaled)
 
     @property
     def mu_coords(self) -> Vec:
@@ -74,6 +84,14 @@ class KostantClass:
             levi_part(self.system, self.P.levi, self.mu_coords)
         )
 
+    def scaled_pairings(self) -> tuple[int, ...]:
+        """Positive multiples of pairing(i), i over P.restricted_indices."""
+        rest = self.P.restricted_indices
+        return tuple(
+            sum(x * self.wlr_scaled[j] for x, j in zip(row, rest))
+            for row, _ in _pairing_rows(self.system, self.P.levi)
+        )
+
     def pairing(self, i: int) -> Fraction:
         """Inner product of the torus part of w(lambda+rho) with simple root i.
 
@@ -83,12 +101,9 @@ class KostantClass:
         """
         if i in self.P.levi:
             raise ValueError(f"root {i} lies in the Levi of {self.P}")
-        _, s = levi_split(self.system, self.P.levi)
-        rest = self.P.restricted_indices
-        row = s[rest.index(i)]
-        return sum(
-            (x * self.wlr[j] for x, j in zip(row, rest)), Fraction(0)
-        )
+        k = self.P.restricted_indices.index(i)
+        _, den = _pairing_rows(self.system, self.P.levi)[k]
+        return Fraction(self.scaled_pairings()[k], den * self.den)
 
     def __repr__(self) -> str:
         return (
@@ -100,8 +115,7 @@ class KostantClass:
 def kostant_class(P: Parabolic, w: WeylElement, lam) -> KostantClass:
     """The class of w for the highest weight lam (simple-root coordinates)."""
     lam_rho, d = scaled_lam_rho(P.system, lam)
-    wlr = tuple(Fraction(x, d) for x in w.apply_coords(lam_rho))
-    return KostantClass(P=P, w=w, lam=lam, wlr=wlr, degree=w.length())
+    return KostantClass(P, w, lam, w.apply_coords(lam_rho), d, w.length())
 
 
 def kostant_decomposition(lam_coords, P: Parabolic) -> list[KostantClass]:
@@ -124,41 +138,52 @@ def kostant_decomposition(lam_coords, P: Parabolic) -> list[KostantClass]:
 def levi_self_dual(system: RootSystem, levi: frozenset, mu) -> bool:
     """Whether the opposition involution of the Levi fixes mu's Levi part.
 
-    mu is in simple-root coordinates.  True iff minus the longest element
-    of the Levi Weyl group fixes the projection of mu onto the Levi root
-    span; a zero projection passes vacuously.  -w0 permutes the Levi simple
-    roots, -w0(alpha_i) = alpha_sigma(i), so it fixes the projection iff
-    the projection's coordinates agree at i and sigma(i).
+    mu is in simple-root coordinates.  -w0 of the Levi sends alpha_i to
+    alpha_sigma(i), so it fixes a vector v of the Levi root span iff
+    <v, alpha_i^vee> = <v, alpha_sigma(i)^vee> for every Levi root i.  The
+    Levi part of mu has mu's pairings with the Levi coroots, so the test
+    reads integer Cartan rows against mu itself; a zero part passes.
     """
-    part = levi_part(system, levi, mu)
-    if all(x == 0 for x in part):
-        return True
+    return all(
+        sum(x * c for x, c in zip(row, mu)) == 0
+        for row in _duality_rows(system, levi)
+    )
+
+
+@lru_cache(maxsize=None)
+def _duality_rows(system: RootSystem, levi: frozenset) -> tuple:
+    """<., alpha_i^vee - alpha_sigma(i)^vee> as rows, one per i < sigma(i)."""
     perm = longest_levi_element(system, levi).perm
-    # w0(alpha_i) = -alpha_sigma(i): coordinate -1 at sigma(i), 0 elsewhere
-    sigma = {i: system.roots[perm[system.simple_indices[i]]].index(-1) for i in levi}
-    return all(part[sigma[i]] == part[i] for i in levi)
+    rows = []
+    for i in sorted(levi):
+        # w0(alpha_i) = -alpha_sigma(i): coordinate -1 at sigma(i), 0 elsewhere
+        s = system.roots[perm[system.simple_indices[i]]].index(-1)
+        if s > i:
+            rows.append(tuple(r[i] - r[s] for r in system.cartan))
+    return tuple(rows)
 
 
 def is_self_contragredient(c: KostantClass) -> bool:
     """Split-form self-duality test on the semisimple part of mu.
 
-    Minimal parabolics pass vacuously.
+    rho pairs to 1 with every simple coroot, so the test reads
+    w(lambda+rho) in place of mu.  Minimal parabolics pass vacuously.
     """
-    return levi_self_dual(c.system, c.P.levi, c.mu_coords)
+    return levi_self_dual(c.system, c.P.levi, c.wlr_scaled)
 
 
 @lru_cache(maxsize=None)
 def _pairing_rows(system: RootSystem, levi: frozenset) -> tuple:
     """The rows of levi_split's S, each scaled by the lcm of its denominators.
 
-    Row k against d * w(lambda+rho) has the sign of the pairing with the
-    k-th restricted simple root (d > 0 as in scaled_lam_rho).
+    Each entry is (row, lcm).  Row k against d * w(lambda+rho) is a positive
+    multiple of the pairing with the k-th restricted simple root.
     """
     _, s = levi_split(system, levi)
     out = []
     for row in s:
         den = lcm(*(x.denominator for x in row))
-        out.append(tuple(int(x * den) for x in row))
+        out.append((tuple(int(x * den) for x in row), den))
     return tuple(out)
 
 
@@ -166,18 +191,9 @@ def bracketing_parabolics(c: KostantClass) -> tuple[Parabolic, Parabolic]:
     """Parabolics bracketing where the thread is locally detectable.
 
     The lower one adjoins the strictly negative pairings, the upper one the
-    nonpositive ones; they coincide exactly when no pairing vanishes.  Only
-    the signs count, so they are read in integers.
+    nonpositive ones; they coincide exactly when no pairing vanishes.
     """
-    rest = c.P.restricted_indices
-    wlr = c.w.apply_coords(scaled_lam_rho(c.system, c.lam)[0])
-    neg, nonpos = set(), set()
-    for i, row in zip(rest, _pairing_rows(c.system, c.P.levi)):
-        v = sum(x * wlr[j] for x, j in zip(row, rest))
-        if v < 0:
-            neg.add(i)
-        if v <= 0:
-            nonpos.add(i)
-    q_lo = parabolic(c.system, c.P.levi | neg)
-    q_hi = parabolic(c.system, c.P.levi | nonpos)
+    pairs = list(zip(c.P.restricted_indices, c.scaled_pairings()))
+    q_lo = parabolic(c.system, c.P.levi | {i for i, v in pairs if v < 0})
+    q_hi = parabolic(c.system, c.P.levi | {i for i, v in pairs if v <= 0})
     return q_lo, q_hi

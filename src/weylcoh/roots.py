@@ -11,7 +11,9 @@ on the roots (Casselman, "Machine calculations in Weyl groups", 1994):
 products, inverses, lengths, inversion sets and descents are index tests,
 and the integer action matrix is derived from the images of the simple
 roots only where a vector is acted on.  Reduced words are recovered on
-demand.
+demand.  Inversion sets and the positive roots of each Levi (cached per
+(system, Levi)) are int bitmasks over the positive roots, so nilradical
+dimensions and bidegrees are popcounts.
 
 All groups are treated as split over Q: rational, real and complex roots
 coincide and the restricted simple roots of a parabolic are in bijection with
@@ -309,11 +311,17 @@ class WeylElement:
 
         These are the positive roots gamma with w^-1(gamma) negative.
         """
+        mask = self.inversion_mask
+        return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+    @cached_property
+    def inversion_mask(self) -> int:
+        """The inversion set as a bitmask: bit k for positive root k."""
         npos = len(self.system.positive_roots)
-        return sorted(p - npos for p in self.perm[:npos] if p >= npos)
+        return sum(1 << (p - npos) for p in self.perm[:npos] if p >= npos)
 
     def length(self) -> int:
-        return len(self.inversions())
+        return self.inversion_mask.bit_count()
 
     def reduced_word(self) -> tuple[int, ...]:
         """A reduced word recovered by the descent algorithm."""
@@ -367,11 +375,18 @@ class Parabolic:
 
     def levi_positive_indices(self) -> list[int]:
         """Indices of positive roots supported on the Levi subset."""
-        out = []
-        for idx, coords in enumerate(self.system.positive_roots):
-            if all(c == 0 or i in self.levi for i, c in enumerate(coords)):
-                out.append(idx)
-        return out
+        mask = _levi_mask(self.system, self.levi)
+        return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+@lru_cache(maxsize=None)
+def _levi_mask(system: RootSystem, levi: frozenset) -> int:
+    """The positive roots supported on the Levi subset, as a bitmask."""
+    return sum(
+        1 << k
+        for k, coords in enumerate(system.positive_roots)
+        if all(c == 0 or i in levi for i, c in enumerate(coords))
+    )
 
 
 def parabolic(system: RootSystem, levi: Iterable[int]) -> Parabolic:
@@ -388,7 +403,8 @@ def dim_nilradical(P: Parabolic, Q: Optional[Parabolic] = None) -> int:
         Q = full_parabolic(P.system)
     if not P.levi <= Q.levi:
         raise ValueError("P is not contained in Q")
-    return len(Q.levi_positive_indices()) - len(P.levi_positive_indices())
+    outside = _levi_mask(P.system, Q.levi) & ~_levi_mask(P.system, P.levi)
+    return outside.bit_count()
 
 
 def codim_and_perversity(P: Parabolic, kind: str) -> tuple[int, int]:
@@ -399,7 +415,12 @@ def codim_and_perversity(P: Parabolic, kind: str) -> tuple[int, int]:
     """
     if P.is_full:
         raise ValueError("the open stratum carries no perversity value")
-    codim = dim_nilradical(P) + len(P.restricted_indices)
+    return _codim_and_perversity(P.system, P.levi, kind)
+
+
+@lru_cache(maxsize=None)
+def _codim_and_perversity(system: RootSystem, levi: frozenset, kind: str):
+    codim = dim_nilradical(Parabolic(system, levi)) + system.rank - len(levi)
     if kind == "m":
         return codim, (codim - 2) // 2
     if kind == "n":
@@ -472,8 +493,7 @@ def factorize(
 
 def bidegree(w: WeylElement, Q: Parabolic) -> int:
     """Number of inversion roots of w lying in the nilradical of Q."""
-    levi_pos = set(Q.levi_positive_indices())
-    return sum(1 for idx in w.inversions() if idx not in levi_pos)
+    return (w.inversion_mask & ~_levi_mask(Q.system, Q.levi)).bit_count()
 
 
 def weyl_group_order(system: RootSystem, levi: Iterable[int]) -> int:

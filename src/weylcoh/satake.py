@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import inf
 
 from .kostant import (
@@ -154,7 +155,8 @@ def codim_boundary_stratum(datum: SatakeDatum, R: Parabolic) -> int:
 def fiber_self_contragredient(datum: SatakeDatum, c: KostantClass) -> bool:
     """Self-duality of the class after restriction to the ell-side Levi."""
     _, zeta = kappa_zeta(datum, c.P.levi)
-    return levi_self_dual(c.system, zeta, c.mu_coords)
+    # rho passes every duality test (is_self_contragredient)
+    return levi_self_dual(c.system, zeta, c.wlr_scaled)
 
 
 def _ell_dimDV(datum: SatakeDatum, c: KostantClass) -> int:
@@ -206,9 +208,7 @@ def _fiber_entries(
     for P in fiber_strata(datum, R):
         a_R = frozenset(P.restricted_indices) & R.levi
         collapsed = frozenset(P.restricted_indices) - R.levi
-        for c in kostant_decomposition(lam_coords, P):
-            if not fiber_self_contragredient(datum, c):
-                continue
+        for c in _fiber_classes(datum, tuple(lam_coords), P):
             key = thread_key(
                 family, P, c.w, kind=kind, profile=profile, lam=c.lam
             )
@@ -235,6 +235,15 @@ def _fiber_entries(
                     )
                 )
     return star, shriek
+
+
+@lru_cache(maxsize=None)
+def _fiber_classes(datum: SatakeDatum, lam_coords: tuple, P: Parabolic) -> tuple:
+    """The fiber self-contragredient classes of (lam, P), for every R and family."""
+    return tuple(
+        c for c in kostant_decomposition(lam_coords, P)
+        if fiber_self_contragredient(datum, c)
+    )
 
 
 def restrict_to_fiber(

@@ -628,7 +628,7 @@ def _closed_form_pushforward(system, lam):
         for c in kostant_decomposition(lam, P):
             if not is_self_contragredient(c):
                 continue
-            if all(c.pairing(i) <= 0 for i in P.restricted_indices):
+            if all(v <= 0 for v in c.scaled_pairings()):
                 out.append((tuple(sorted(levi)), c.degree, tuple(c.mu)))
     return sorted(out)
 
@@ -770,52 +770,56 @@ def _suite_basic_lemma(rec: _Recorder, **_):
                 if P.is_full:
                     continue
                 rest = P.restricted_indices
+                faces = {}
+                for a in subsets(rest)[:-1]:
+                    Q = face_parabolic(P, a)
+                    faces[a] = Q, dim_nilradical(Q)
+                dim_p = dim_nilradical(P)
                 for c in kostant_decomposition(lam, P):
                     if not is_self_contragredient(c):
                         continue
-                    pair = {i: c.pairing(i) for i in rest}
+                    # signs only: positive multiples of the pairings
+                    pair = dict(zip(rest, c.scaled_pairings()))
                     nonpos = all(v <= 0 for v in pair.values())
                     nonneg = all(v >= 0 for v in pair.values())
-                    key = (lam, sorted(levi), c.w.reduced_word())
+
+                    def key():
+                        return (lam, sorted(levi), c.w.reduced_word())
+
                     if nonpos or nonneg:
                         checked += 1
-                        for a in subsets(rest):
-                            Q = face_parabolic(P, a)
-                            if Q.is_full:
-                                continue
+                        for Q, dim in faces.values():
                             two_l = 2 * bidegree(c.w, Q)
-                            dim = dim_nilradical(Q)
                             if nonpos and two_l < dim:
-                                bad_lo.append(key)
+                                bad_lo.append(key())
                             if nonneg and two_l > dim:
-                                bad_hi.append(key)
+                                bad_hi.append(key())
                         # boundary clause needs the whole module self-dual
                         if (
                             module_sd
-                            and 2 * c.degree == dim_nilradical(P)
+                            and 2 * c.degree == dim_p
                             and any(v != 0 for v in pair.values())
                         ):
-                            bad_zero.append(key)
+                            bad_zero.append(key())
                     if len(rest) == 2:
                         # mixed-sign slice: adjoin the nonpositive root first
                         for a1, a2 in (rest, tuple(reversed(rest))):
                             if not (pair[a1] <= 0 and pair[a2] >= 0):
                                 continue
                             n_r2 += 1
-                            q1 = parabolic(system, P.levi | {a1})
-                            q2 = parabolic(system, P.levi | {a2})
+                            q1, d1 = faces[frozenset({a1})]
+                            q2, d2 = faces[frozenset({a2})]
                             l1 = 2 * bidegree(c.w, q1)
                             l2 = 2 * bidegree(c.w, q2)
-                            d1, d2 = dim_nilradical(q1), dim_nilradical(q2)
-                            two_l, dim_p = 2 * c.degree, dim_nilradical(P)
+                            two_l = 2 * c.degree
                             if l1 >= d1 and not two_l >= dim_p:
-                                bad_r2.append(key)
+                                bad_r2.append(key())
                             if l2 <= d2 and not two_l <= dim_p:
-                                bad_r2.append(key)
+                                bad_r2.append(key())
                             if l1 > d1 and not two_l > dim_p:
-                                bad_r2.append(key)
+                                bad_r2.append(key())
                             if l2 < d2 and not two_l < dim_p:
-                                bad_r2.append(key)
+                                bad_r2.append(key())
         tag = f"{typ}{rank} ({checked} classes)"
         rec.add(
             f"basic-lemma/bidegree-bounds {tag}",
@@ -1167,6 +1171,7 @@ def _suite_pairing_shift(rec: _Recorder, **_):
                     continue
                 rest = P.restricted_indices
                 for c in kostant_decomposition(lam, P):
+                    pair = dict(zip(rest, c.scaled_pairings()))
                     for a0 in rest:
                         adj = [
                             i
@@ -1177,7 +1182,7 @@ def _suite_pairing_shift(rec: _Recorder, **_):
                             continue
                         if any(gram[a0][j] != 0 for j in levi):
                             continue
-                        if c.pairing(a0) <= 0:
+                        if pair[a0] <= 0:
                             continue
                         checked += 1
                         _, comps = pairing_shift(c, a0)

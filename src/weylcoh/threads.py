@@ -63,12 +63,22 @@ def ic_cutoffs(P: Parabolic, w: WeylElement, kind: str) -> dict[Face, int]:
 
 
 @lru_cache(maxsize=None)
+def _face_parabolics(P: Parabolic) -> dict[Face, tuple[Parabolic, tuple]]:
+    """face -> (Q, simple roots off Q's Levi); one Q per face, for _min_rep keys."""
+    out = {}
+    for a in subsets(P.restricted_indices):
+        Q = face_parabolic(P, a)
+        out[a] = Q, Q.restricted_indices
+    return out
+
+
+@lru_cache(maxsize=None)
 def _ic_cutoff_values(P: Parabolic, w: WeylElement, kind: str) -> tuple:
+    faces = _face_parabolics(P)
     values = []
     for a in _proper_faces(P.restricted_indices):
-        Q = face_parabolic(P, a)
-        _, p = codim_and_perversity(Q, kind)
-        values.append(p - bidegree(w, Q))
+        Q, _ = faces[a]
+        values.append(codim_and_perversity(Q, kind)[1] - bidegree(w, Q))
     return tuple(values)
 
 
@@ -97,15 +107,15 @@ def wc_keep(
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown weight profile {profile!r}")
-    Q = face_parabolic(P, a)
-    if Q.is_full:
+    Q, off = _face_parabolics(P)[Face(a)]
+    if not off:
         return True
     lam_rho, _ = scaled_lam_rho(P.system, lam)
-    target = _min_rep(w, P, Q).apply_coords(lam_rho)
-    rest = [target[i] for i in Q.restricted_indices]
+    rows = _min_rep(w, P, Q).matrix
+    coords = (sum(m * c for m, c in zip(rows[i], lam_rho)) for i in off)
     if profile == "nu":
-        return all(c >= 0 for c in rest)
-    return all(c > 0 for c in rest)
+        return all(c >= 0 for c in coords)
+    return all(c > 0 for c in coords)
 
 
 def wc_cutoffs(

@@ -2,11 +2,12 @@ import os
 
 import pytest
 
-from weylcoh import kostant, roots, threads
+from weylcoh import kostant, roots, satake, threads
 
 # every per-process cache of the thread layer
 THREAD_CACHES = (
     threads._proper_faces,
+    threads._face_parabolics,
     threads._ic_cutoff_values,
     threads._min_rep,
     threads._thread_module,
@@ -14,13 +15,17 @@ THREAD_CACHES = (
     threads._attaching_items,
 )
 
-# every per-process cache of the root and Kostant layers
+# every per-process cache of the root, Kostant and fiber layers
 WEYL_CACHES = (
     roots.build_root_system,
     roots.levi_split,
     roots.scaled_lam_rho,
     roots.longest_levi_element,
+    roots._levi_mask,
+    roots._codim_and_perversity,
     kostant._pairing_rows,
+    kostant._duality_rows,
+    satake._fiber_classes,
 )
 
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import THREAD_CACHES, WEYL_CACHES
 
 import weylcoh
-from weylcoh import kostant, roots, threads
+from weylcoh import kostant, roots, satake, threads
 from weylcoh.microsupport import (
     RealFormOracle,
     classify_fundamental,
@@ -147,8 +147,9 @@ def test_cache_list_covers_every_thread_cache():
 
 
 def test_cache_list_covers_every_root_and_kostant_cache():
+    # the fiber layer's cache of Kostant classes is listed with them
     defined = {
-        f for module in (roots, kostant) for f in vars(module).values()
+        f for module in (roots, kostant, satake) for f in vars(module).values()
         if hasattr(f, "cache_clear") and f.__module__ == module.__name__
     }
     assert defined == set(WEYL_CACHES)

@@ -74,7 +74,8 @@ def test_thread_caches_leave_suite_checks_unchanged(clear_thread_caches):
             for c in run_suite(name).checks
         ]
 
-    names = ("ms-ic", "ms-wc", "deligne")
+    # basic-lemma and functoriality read the Levi, duality and fiber caches
+    names = ("ms-ic", "ms-wc", "deligne", "basic-lemma", "functoriality")
     cold = {}
     for name in names:
         clear_thread_caches()
