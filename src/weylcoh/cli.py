@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .kostant import is_self_contragredient, kostant_decomposition
 from .microsupport import micro_support
@@ -48,32 +47,6 @@ MAX_CLASSES = 10**6
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters shared by the subcommands."""
-
-    cartan_type: str | None = None
-    rank: int | None = None
-    levi: frozenset = frozenset()
-    lam: tuple = ()
-    family: str | None = None
-    perversity: str | None = None
-    weight_profile: str | None = None
-    mu_support: frozenset | None = None
-    suites: list = field(default_factory=list)
-    fmt: str = "text"
-
-    def validate(self):
-        if self.perversity and self.family not in (None, "ic"):
-            raise UsageError("--perversity only applies to the ic family")
-        if self.weight_profile and self.family not in (None, "wc"):
-            raise UsageError("--weight-profile only applies to the wc family")
-        if self.family == "ic" and not self.perversity:
-            raise UsageError("the ic family needs --perversity m|n")
-        if self.family == "wc" and not self.weight_profile:
-            raise UsageError("the wc family needs --weight-profile mu|nu")
 
 
 def _parse_indices(text: str, rank: int) -> frozenset:
@@ -156,15 +129,10 @@ def _emit(doc: dict, fmt: str, out):
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_roots(cfg: RunConfig, out) -> int:
-    system = build_root_system(cfg.cartan_type, cfg.rank)
+def cmd_roots(args, out) -> int:
+    system = build_root_system(args.type, args.rank)
     rows = []
-    levis = (
-        [cfg.levi]
-        if cfg.levi
-        else [frozenset(s) for s in subsets(range(cfg.rank))]
-    )
-    for levi in sorted(levis, key=lambda s: (len(s), sorted(s))):
+    for levi in [args.levi] if args.levi else subsets(range(args.rank)):
         P = parabolic(system, levi)
         if P.is_full:
             codim = pm = pn = "-"
@@ -183,24 +151,24 @@ def cmd_roots(cfg: RunConfig, out) -> int:
         )
     doc = {
         "command": "roots",
-        "group": f"{cfg.cartan_type}{cfg.rank}",
+        "group": f"{args.type}{args.rank}",
         "columns": ["levi", "restricted", "dim-nilradical", "codim", "p-m", "p-n"],
         "rows": rows,
         "preamble": [
-            f"{cfg.cartan_type}{cfg.rank}: "
+            f"{args.type}{args.rank}: "
             f"{len(system.positive_roots)} positive roots"
         ],
     }
-    _emit(doc, cfg.fmt, out)
+    _emit(doc, args.format, out)
     return EXIT_OK
 
 
-def cmd_kostant(cfg: RunConfig, out) -> int:
-    system = build_root_system(cfg.cartan_type, cfg.rank)
-    _check_class_count(system, [cfg.levi])
-    P = parabolic(system, cfg.levi)
+def cmd_kostant(args, out) -> int:
+    system = build_root_system(args.type, args.rank)
+    _check_class_count(system, [args.levi])
+    P = parabolic(system, args.levi)
     rows = []
-    for c in kostant_decomposition(cfg.lam, P):
+    for c in kostant_decomposition(args.lam, P):
         signs = ["0" if v == 0 else ("+" if v > 0 else "-")
                  for v in c.scaled_pairings()]
         rows.append(
@@ -214,29 +182,37 @@ def cmd_kostant(cfg: RunConfig, out) -> int:
         )
     doc = {
         "command": "kostant",
-        "group": f"{cfg.cartan_type}{cfg.rank}",
-        "levi": _face_name(cfg.levi),
-        "lambda": list(cfg.lam),
+        "group": f"{args.type}{args.rank}",
+        "levi": _face_name(args.levi),
+        "lambda": list(args.lam),
         "columns": ["word", "length", "mu", "pairing-signs", "self-dual"],
         "rows": rows,
         "preamble": [
-            f"{len(rows)} classes for levi {_face_name(cfg.levi)}, "
-            f"lambda {','.join(str(x) for x in cfg.lam)}"
+            f"{len(rows)} classes for levi {_face_name(args.levi)}, "
+            f"lambda {','.join(str(x) for x in args.lam)}"
         ],
     }
-    _emit(doc, cfg.fmt, out)
+    _emit(doc, args.format, out)
     return EXIT_OK
 
 
-def cmd_microsupport(cfg: RunConfig, out) -> int:
-    system = build_root_system(cfg.cartan_type, cfg.rank)
+def cmd_microsupport(args, out) -> int:
+    if args.perversity and args.family != "ic":
+        raise UsageError("--perversity only applies to the ic family")
+    if args.weight_profile and args.family != "wc":
+        raise UsageError("--weight-profile only applies to the wc family")
+    if args.family == "ic" and not args.perversity:
+        raise UsageError("the ic family needs --perversity m|n")
+    if args.family == "wc" and not args.weight_profile:
+        raise UsageError("the wc family needs --weight-profile mu|nu")
+    system = build_root_system(args.type, args.rank)
     _check_class_count(system, subsets(range(system.rank)))
     entries = micro_support(
-        cfg.family,
-        cfg.lam,
+        args.family,
+        args.lam,
         system,
-        kind=cfg.perversity,
-        profile=cfg.weight_profile,
+        kind=args.perversity,
+        profile=args.weight_profile,
     )
     rows = []
     for e in entries:
@@ -254,11 +230,11 @@ def cmd_microsupport(cfg: RunConfig, out) -> int:
         )
     doc = {
         "command": "microsupport",
-        "group": f"{cfg.cartan_type}{cfg.rank}",
-        "family": cfg.family,
-        "perversity": cfg.perversity,
-        "weight_profile": cfg.weight_profile,
-        "lambda": list(cfg.lam),
+        "group": f"{args.type}{args.rank}",
+        "family": args.family,
+        "perversity": args.perversity,
+        "weight_profile": args.weight_profile,
+        "lambda": list(args.lam),
         "columns": [
             "levi", "word", "length", "c", "d", "essential", "fundamental",
             "window",
@@ -266,7 +242,7 @@ def cmd_microsupport(cfg: RunConfig, out) -> int:
         "rows": rows,
         "preamble": [f"{len(rows)} detected classes"],
     }
-    _emit(doc, cfg.fmt, out)
+    _emit(doc, args.format, out)
     return EXIT_OK
 
 
@@ -290,7 +266,7 @@ def _simplex_diagram(n: int, marked: set) -> list[str]:
     return []
 
 
-def cmd_simplex(args, cfg: RunConfig, out) -> int:
+def cmd_simplex(args, out) -> int:
     n = args.rank
     if not 1 <= n <= 6:
         raise UsageError("simplex rank must be between 1 and 6")
@@ -319,7 +295,7 @@ def cmd_simplex(args, cfg: RunConfig, out) -> int:
         for d in h.degrees()
     ]
     preamble = []
-    if cfg.fmt == "text" and n <= 3:
+    if args.format == "text" and n <= 3:
         preamble = _simplex_diagram(n, marked) + [""]
     preamble += (
         [f"degree {d}: rank {h.free_rank(d)}" for d in h.degrees()]
@@ -335,27 +311,22 @@ def cmd_simplex(args, cfg: RunConfig, out) -> int:
         "rows": rows,
         "preamble": preamble,
     }
-    _emit(doc, cfg.fmt, out)
+    _emit(doc, args.format, out)
     return EXIT_OK
 
 
-def cmd_satake(cfg: RunConfig, out) -> int:
-    system = build_root_system(cfg.cartan_type, cfg.rank)
-    if cfg.mu_support is None:
+def cmd_satake(args, out) -> int:
+    system = build_root_system(args.type, args.rank)
+    if not args.mu_support:
         if system.cartan_type != "C":
             raise UsageError(
                 "the default weight support needs type C; give --mu-support"
             )
         datum = baily_borel(system)
     else:
-        datum = SatakeDatum(system, cfg.mu_support)
-    levis = (
-        [cfg.levi]
-        if cfg.levi
-        else [frozenset(s) for s in subsets(range(cfg.rank))]
-    )
+        datum = SatakeDatum(system, args.mu_support)
     rows = []
-    for levi in sorted(levis, key=lambda s: (len(s), sorted(s))):
+    for levi in [args.levi] if args.levi else subsets(range(args.rank)):
         P = parabolic(system, levi)
         kappa, zeta = kappa_zeta(datum, levi)
         dag = p_dagger(datum, P)
@@ -370,7 +341,7 @@ def cmd_satake(cfg: RunConfig, out) -> int:
         )
     doc = {
         "command": "satake",
-        "group": f"{cfg.cartan_type}{cfg.rank}",
+        "group": f"{args.type}{args.rank}",
         "mu_support": sorted(i + 1 for i in datum.mu_support),
         "columns": ["levi", "kappa", "zeta", "dagger", "saturated"],
         "rows": rows,
@@ -379,12 +350,16 @@ def cmd_satake(cfg: RunConfig, out) -> int:
             f"{','.join('a' + str(i + 1) for i in sorted(datum.mu_support))}"
         ],
     }
-    _emit(doc, cfg.fmt, out)
+    _emit(doc, args.format, out)
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: RunConfig, out) -> int:
-    names = cfg.suites or list(DEFAULT_SUITES)
+def cmd_verify(args, out) -> int:
+    if args.list:
+        for name in sorted(SUITES):
+            out.write(f"{name}\t{SUITES[name][1]}\n")
+        return EXIT_OK
+    names = args.suites or DEFAULT_SUITES
     for n in names:
         if n not in SUITES:
             raise UnknownSuiteError(n)
@@ -411,9 +386,9 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
         "elapsed": round(time.perf_counter() - t0, 3),
         "suites": [r.to_dict() for r in results],
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         out.write(json.dumps(doc, indent=2) + "\n")
-    elif cfg.fmt == "tsv":
+    elif args.format == "tsv":
         out.write("suite\tcheck\ttag\texpected\tgot\tpassed\n")
         for r in results:
             for c in r.checks:
@@ -451,26 +426,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact verification engine for parabolic stratum posets",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "tsv", "text"), default="text")
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument(
+        "--type", type=str.upper, required=True, help="Cartan type letter"
+    )
+    group.add_argument("--rank", type=int, required=True)
 
-    def common(p, needs_group=True):
-        p.add_argument(
-            "--format", choices=("json", "tsv", "text"), default="text"
-        )
-        if needs_group:
-            p.add_argument("--type", required=True, help="Cartan type letter")
-            p.add_argument("--rank", type=int, required=True)
+    def command(name, run, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[fmt, *parents])
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("roots", help="parabolic and perversity bookkeeping")
-    common(p)
+    p = command("roots", cmd_roots, "parabolic and perversity bookkeeping", group)
     p.add_argument("--levi", default=None)
 
-    p = sub.add_parser("kostant", help="isotypical classes of a parabolic")
-    common(p)
+    p = command("kostant", cmd_kostant, "isotypical classes of a parabolic", group)
     p.add_argument("--levi", default="", help="empty for the minimal parabolic")
     p.add_argument("--lambda", dest="lam", required=True)
 
-    p = sub.add_parser("microsupport", help="detected classes of a family")
-    common(p)
+    p = command(
+        "microsupport", cmd_microsupport, "detected classes of a family", group
+    )
     p.add_argument(
         "--family", choices=("pushforward", "ic", "wc"), required=True
     )
@@ -478,15 +456,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-profile", choices=PROFILES, default=None)
     p.add_argument("--lambda", dest="lam", required=True)
 
-    p = sub.add_parser("simplex", help="truncation profile on a simplex cone")
-    p.add_argument(
-        "--format", choices=("json", "tsv", "text"), default="text"
-    )
+    p = command("simplex", cmd_simplex, "truncation profile on a simplex cone")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--cut", default="", help="faces to cut, e.g. a1,a1a2")
 
-    p = sub.add_parser("satake", help="connectivity splits and saturations")
-    common(p)
+    p = command("satake", cmd_satake, "connectivity splits and saturations", group)
     p.add_argument("--levi", default=None)
     p.add_argument(
         "--mu-support",
@@ -494,10 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simple roots touching the weight; default: type C long-root end",
     )
 
-    p = sub.add_parser("verify", help="run registered verification suites")
-    p.add_argument(
-        "--format", choices=("json", "tsv", "text"), default="text"
-    )
+    p = command("verify", cmd_verify, "run registered verification suites")
     p.add_argument("suites", nargs="*", help="suite names; default: all fast")
     p.add_argument("--list", action="store_true", help="list registered suites")
     p.add_argument("--progress", action="store_true")
@@ -507,40 +478,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = sys.stdout
     try:
-        cfg = RunConfig(fmt=args.format)
-        if hasattr(args, "type"):
-            cfg.cartan_type = args.type
-            cfg.rank = args.rank
-        if getattr(args, "levi", None):
-            cfg.levi = _parse_indices(args.levi, cfg.rank)
-        if getattr(args, "lam", None) is not None:
-            cfg.lam = _parse_lambda(args.lam, cfg.rank)
+        if hasattr(args, "levi"):
+            args.levi = (
+                _parse_indices(args.levi, args.rank) if args.levi else frozenset()
+            )
+        if hasattr(args, "lam"):
+            args.lam = _parse_lambda(args.lam, args.rank)
         if getattr(args, "mu_support", None):
-            cfg.mu_support = _parse_indices(args.mu_support, cfg.rank)
-        cfg.family = getattr(args, "family", None)
-        cfg.perversity = getattr(args, "perversity", None)
-        cfg.weight_profile = getattr(args, "weight_profile", None)
-        cfg.validate()
-        if args.command == "verify":
-            if args.list:
-                for name in sorted(SUITES):
-                    out.write(f"{name}\t{SUITES[name][1]}\n")
-                return EXIT_OK
-            cfg.suites = list(args.suites)
-            return cmd_verify(args, cfg, out)
-        if args.command == "roots":
-            return cmd_roots(cfg, out)
-        if args.command == "kostant":
-            return cmd_kostant(cfg, out)
-        if args.command == "microsupport":
-            return cmd_microsupport(cfg, out)
-        if args.command == "simplex":
-            return cmd_simplex(args, cfg, out)
-        if args.command == "satake":
-            return cmd_satake(cfg, out)
-        raise UsageError(f"unknown command {args.command!r}")
+            args.mu_support = _parse_indices(args.mu_support, args.rank)
+        return args.run(args, sys.stdout)
     except (UsageError, UnknownSuiteError, InvalidTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

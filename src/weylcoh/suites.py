@@ -131,6 +131,10 @@ class _Recorder:
         )
         self._t = now
 
+    def none(self, name, tag, bad, ok="no violations"):
+        """Record a search for counterexamples: passed when bad is empty."""
+        self.add(name, tag, ok, f"{len(bad)}, e.g. {bad[0]}" if bad else ok)
+
 
 # -- truncation-profile helpers -------------------------------------------
 
@@ -650,20 +654,17 @@ def _suite_ms_pushforward(rec: _Recorder, **_):
                 f"{len(expected)} entries, sets equal",
                 f"{len(got)} entries, sets {'equal' if got == expected else 'differ'}",
             )
-            degrees_ok = all(
-                e.c == e.d == e.cls.degree
-                and len(e.window) == 1
-                and e.window[0][0] == frozenset(e.P.restricted_indices)
+            bad = [
+                e
                 for e in entries
-            )
-            rec.add(
-                f"pushforward/degrees-and-windows {tag}",
-                "PAPER",
-                "c = d = length at the open face",
-                "c = d = length at the open face"
-                if degrees_ok
-                else "violations found",
-            )
+                if not (e.c == e.d == e.cls.degree and len(e.window) == 1)
+                or e.window[0][0] != frozenset(e.P.restricted_indices)
+            ]
+            ok = "c = d = length at the open face"
+            rec.none(f"pushforward/degrees-and-windows {tag}", "PAPER", bad, ok)
+
+
+_EMS = "emS = {E} everywhere"
 
 
 def _ems_is_trivial_class(entries) -> bool:
@@ -696,22 +697,9 @@ def _suite_ms_ic(rec: _Recorder, **_):
                 ):
                     cd_equal += 1
             tag = f"{typ}{rank} {kind} ({points} weights)"
-            rec.add(
-                f"ms-ic/essential-is-trivial-class {tag}",
-                "PAPER",
-                "emS = {E} everywhere",
-                "emS = {E} everywhere"
-                if not bad_ems
-                else f"failures at {bad_ems}",
-            )
-            rec.add(
-                f"ms-ic/non-essential-all-fundamental {tag}",
-                "PAPER",
-                "all fundamental",
-                "all fundamental"
-                if not bad_fund
-                else f"{len(bad_fund)} exceptions, e.g. {bad_fund[0]}",
-            )
+            rec.none(f"ms-ic/essential-is-trivial-class {tag}", "PAPER", bad_ems, _EMS)
+            name = f"ms-ic/non-essential-all-fundamental {tag}"
+            rec.none(name, "PAPER", bad_fund, "all fundamental")
             rec.add(
                 f"ms-ic/cd-bounds-via-essential (recorded) {tag}",
                 "DERIVED",
@@ -732,12 +720,7 @@ def _suite_ms_wc(rec: _Recorder, **_):
                 if not _ems_is_trivial_class(ess):
                     bad.append(lam)
             tag = f"{typ}{rank} {profile} ({len(lams)} weights)"
-            rec.add(
-                f"ms-wc/essential-is-trivial-class {tag}",
-                "PAPER",
-                "emS = {E} everywhere",
-                "emS = {E} everywhere" if not bad else f"failures at {bad}",
-            )
+            rec.none(f"ms-wc/essential-is-trivial-class {tag}", "PAPER", bad, _EMS)
 
 
 # -- degree / perversity property suites -----------------------------------
@@ -762,7 +745,7 @@ def _suite_basic_lemma(rec: _Recorder, **_):
     for typ, rank in _RANK3_SYSTEMS:
         system = build_root_system(typ, rank)
         checked = n_r2 = 0
-        bad_lo, bad_hi, bad_zero, bad_r2 = [], [], [], []
+        bad_bound, bad_zero, bad_r2 = [], [], []
         for lam in _lam_grid(rank):
             module_sd = _module_self_dual(system, lam)
             for levi in subsets(range(rank)):
@@ -791,9 +774,9 @@ def _suite_basic_lemma(rec: _Recorder, **_):
                         for Q, dim in faces.values():
                             two_l = 2 * bidegree(c.w, Q)
                             if nonpos and two_l < dim:
-                                bad_lo.append(key())
+                                bad_bound.append(("lo", *key()))
                             if nonneg and two_l > dim:
-                                bad_hi.append(key())
+                                bad_bound.append(("hi", *key()))
                         # boundary clause needs the whole module self-dual
                         if (
                             module_sd
@@ -821,31 +804,13 @@ def _suite_basic_lemma(rec: _Recorder, **_):
                             if l2 < d2 and not two_l < dim_p:
                                 bad_r2.append(key())
         tag = f"{typ}{rank} ({checked} classes)"
-        rec.add(
-            f"basic-lemma/bidegree-bounds {tag}",
-            "PAPER",
-            "no violations",
-            "no violations"
-            if not (bad_lo or bad_hi)
-            else f"lo {len(bad_lo)}, hi {len(bad_hi)}, e.g. {(bad_lo or bad_hi)[0]}",
-        )
-        rec.add(
-            f"basic-lemma/half-length-forces-zero-pairings {tag}",
-            "PAPER",
-            "no violations",
-            "no violations"
-            if not bad_zero
-            else f"{len(bad_zero)} violations, e.g. {bad_zero[0]}",
+        rec.none(f"basic-lemma/bidegree-bounds {tag}", "PAPER", bad_bound)
+        rec.none(
+            f"basic-lemma/half-length-forces-zero-pairings {tag}", "PAPER", bad_zero
         )
         if n_r2:
-            rec.add(
-                f"basic-lemma/mixed-sign-two-root-slice {typ}{rank} ({n_r2} instances)",
-                "PAPER",
-                "no violations",
-                "no violations"
-                if not bad_r2
-                else f"{len(bad_r2)} violations, e.g. {bad_r2[0]}",
-            )
+            name = "basic-lemma/mixed-sign-two-root-slice"
+            rec.none(f"{name} {typ}{rank} ({n_r2} instances)", "PAPER", bad_r2)
 
 
 _DELIGNE_GRID = [
@@ -876,7 +841,7 @@ def _deligne_failures(key) -> tuple[list, list]:
     Returns the faces whose local cohomology lives above the cutoff, and the
     (face, degree) pairs up to the cutoff where it differs from the link's.
     """
-    index_set, cuts, _ = key
+    index_set, cuts = key
     thread = build_thread(key)
     vanish, attach = [], []
     # subsets order lists the proper faces first, as the cutoffs do
@@ -909,26 +874,13 @@ def _suite_deligne(rec: _Recorder, **_):
             if key not in failures:
                 failures[key] = _deligne_failures(key)
             vanish, attach = failures[key]
-            word = c.w.reduced_word()
-            bad_vanish += [(typ, word, kind, a) for a in vanish]
-            bad_attach += [(typ, word, kind, a, j) for a, j in attach]
+            if vanish or attach:
+                word = c.w.reduced_word()
+                bad_vanish += [(typ, word, kind, a) for a in vanish]
+                bad_attach += [(typ, word, kind, a, j) for a, j in attach]
         tag = f"{typ}{rank} ({threads} threads)"
-        rec.add(
-            f"deligne/stalk-vanishing-above-cutoff {tag}",
-            "PAPER",
-            "no violations",
-            "no violations"
-            if not bad_vanish
-            else f"{len(bad_vanish)}, e.g. {bad_vanish[0]}",
-        )
-        rec.add(
-            f"deligne/attaching-iso-up-to-cutoff {tag}",
-            "PAPER",
-            "no violations",
-            "no violations"
-            if not bad_attach
-            else f"{len(bad_attach)}, e.g. {bad_attach[0]}",
-        )
+        rec.none(f"deligne/stalk-vanishing-above-cutoff {tag}", "PAPER", bad_vanish)
+        rec.none(f"deligne/attaching-iso-up-to-cutoff {tag}", "PAPER", bad_attach)
 
 
 def _suite_spectral(rec: _Recorder, **_):
@@ -958,12 +910,8 @@ def _suite_spectral(rec: _Recorder, **_):
                     ):
                         results[name].append((bits, sorted(a), k))
     for name, bad in results.items():
-        rec.add(
-            f"spectral/{name}-vanishing-implies-direct ({checked} instances)",
-            "PAPER",
-            "no violations",
-            "no violations" if not bad else f"{len(bad)}, e.g. {bad[0]}",
-        )
+        check = f"spectral/{name}-vanishing-implies-direct ({checked} instances)"
+        rec.none(check, "PAPER", bad)
 
 
 def _suite_functoriality(rec: _Recorder, **_):
@@ -1089,22 +1037,10 @@ def _suite_order_invariance(rec: _Recorder, **_):
                 h2 = local_complex(m2, a)[0].cohomology()
                 if h1 != h2:
                     bad_order.append((typ, c.w.reduced_word(), kind, sorted(a)))
-    rec.add(
-        f"order/structure-map-condition ({threads} threads, two orders)",
-        "TRIVIAL",
-        "all satisfy the triangle identity",
-        "all satisfy the triangle identity"
-        if not bad_cond
-        else f"{len(bad_cond)} failures",
-    )
-    rec.add(
-        f"order/local-cohomology-order-independent ({threads} threads)",
-        "DERIVED",
-        "no differences",
-        "no differences"
-        if not bad_order
-        else f"{len(bad_order)}, e.g. {bad_order[0]}",
-    )
+    name = f"order/structure-map-condition ({threads} threads, two orders)"
+    rec.none(name, "TRIVIAL", bad_cond, "all satisfy the triangle identity")
+    name = f"order/local-cohomology-order-independent ({threads} threads)"
+    rec.none(name, "DERIVED", bad_order, "no differences")
 
 
 def _suite_allornothing(rec: _Recorder, **_):
@@ -1139,14 +1075,8 @@ def _suite_allornothing(rec: _Recorder, **_):
                 bad_marks.append((typ, sorted(P.levi), c.w.reduced_word(), kind))
             if not sign_ok:
                 bad_sign.append((typ, sorted(P.levi), c.w.reduced_word(), kind))
-    rec.add(
-        f"aon/exact-equals-cut-where-truncation-bites ({threads} threads)",
-        "DERIVED",
-        "no differences",
-        "no differences"
-        if not bad_marks
-        else f"{len(bad_marks)}, e.g. {bad_marks[0]}",
-    )
+    name = f"aon/exact-equals-cut-where-truncation-bites ({threads} threads)"
+    rec.none(name, "DERIVED", bad_marks, "no differences")
     rec.add(
         "aon/negative-cutoff-sign-rule-comparison (recorded)",
         "DERIVED",
@@ -1192,12 +1122,8 @@ def _suite_pairing_shift(rec: _Recorder, **_):
                                 bad.append((typ, lam, sorted(levi), c.w.reduced_word(), a0, i))
                             if not want_strict and up != down:
                                 bad.append((typ, lam, sorted(levi), c.w.reduced_word(), a0, i))
-    rec.add(
-        f"pairing-shift/monotone-across-adjoined-root ({checked} instances)",
-        "DERIVED",
-        "no violations",
-        "no violations" if not bad else f"{len(bad)}, e.g. {bad[0]}",
-    )
+    name = f"pairing-shift/monotone-across-adjoined-root ({checked} instances)"
+    rec.none(name, "DERIVED", bad)
 
 
 # -- registry --------------------------------------------------------------

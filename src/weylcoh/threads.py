@@ -130,9 +130,9 @@ def wc_cutoffs(
 
 def thread_key(
     family: str, P: Parabolic, w: WeylElement, *, kind=None, profile=None,
-    lam: Vec | None = None, order=None,
+    lam: Vec | None = None,
 ) -> tuple:
-    """The cutoff profile of a thread: (index set, cutoffs, order).
+    """The cutoff profile of a thread: (index set, cutoffs).
 
     The cutoffs are those of the proper faces in subsets order; threads
     with equal profiles are equal modules.  The pushforward is the profile
@@ -150,14 +150,13 @@ def thread_key(
         raise ValueError("weight-truncated family needs the highest weight")
     else:
         cuts = tuple(wc_cutoffs(P, w, lam, profile).values())
-    order = None if order is None else tuple(Face(a) for a in order)
-    return P.restricted_indices, cuts, order
+    return P.restricted_indices, cuts
 
 
 def build_thread(key) -> PosetModule:
     """The thread module with the given cutoff profile (see thread_key)."""
-    index_set, cuts, order = key
-    return ic_module(index_set, dict(zip(_proper_faces(index_set), cuts)), order)
+    index_set, cuts = key
+    return ic_module(index_set, dict(zip(_proper_faces(index_set), cuts)))
 
 
 # at most the last four builds, so a window and its attaching rank share one

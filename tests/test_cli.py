@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, formats, and example outputs."""
 
 import json
+import pathlib
 import time
 
 import pytest
@@ -169,7 +170,7 @@ def test_corrupt_checkpoint_is_a_usage_error(capsys, tmp_path):
 
 def test_engine_error_is_not_a_usage_error(monkeypatch):
     # an internal ValueError must surface as a traceback, not as exit 2
-    def broken(cfg, out):
+    def broken(args, out):
         raise ValueError("engine bug")
 
     monkeypatch.setattr("weylcoh.cli.cmd_roots", broken)
@@ -212,3 +213,27 @@ def test_enumeration_too_large_is_refused_at_once(capsys, command, count):
     assert err == (
         f"error: {count} Kostant classes to enumerate, above the limit of 1000000\n"
     )
+
+
+def test_type_letter_is_case_insensitive(capsys):
+    args = ("roots", "--rank", "2", "--format", "json")
+    lower = run(capsys, *args, "--type", "c")
+    upper = run(capsys, *args, "--type", "C")
+    assert lower == upper
+    assert json.loads(upper[1])["group"] == "C2"
+
+
+DEFAULT_CHECKS = pathlib.Path(__file__).parent / "data" / "verify_default_checks.json"
+
+
+def test_default_verify_check_strings_are_pinned(capsys):
+    # every (suite, name, tag, expected, got, passed) of the default run;
+    # sp20/first-configuration-m is the one red check, so the run exits 1
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    got = [
+        [s["suite"], c["name"], c["tag"], c["expected"], c["got"], c["passed"]]
+        for s in json.loads(out)["suites"]
+        for c in s["checks"]
+    ]
+    assert got == json.loads(DEFAULT_CHECKS.read_text())
+    assert code == 1

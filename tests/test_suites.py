@@ -8,6 +8,7 @@ from weylcoh.suites import (
     DEFAULT_SUITES,
     SUITES,
     UnknownSuiteError,
+    _Recorder,
     run_suite,
 )
 
@@ -83,3 +84,34 @@ def test_thread_caches_leave_suite_checks_unchanged(clear_thread_caches):
     # again without clearing: each run follows runs of the other suites
     warm = {name: checks(name) for name in names}
     assert warm == cold
+
+
+def test_none_passes_when_no_counterexample_is_found():
+    rec = _Recorder()
+    rec.none("x", "PAPER", [], "all fine")
+    (c,) = rec.checks
+    assert c.passed is True
+    assert c.expected == c.got == "all fine"
+
+
+def test_none_reports_the_count_and_the_first_counterexample():
+    rec = _Recorder()
+    rec.none("x", "PAPER", [(1, 2), (3, 4)])
+    (c,) = rec.checks
+    assert c.passed is False
+    assert c.expected == "no violations"
+    assert c.got == "2, e.g. (1, 2)"
+
+
+@pytest.mark.parametrize("length, bound", [(-1, "lo"), (10**6, "hi")])
+def test_basic_lemma_violation_names_its_bound(monkeypatch, length, bound):
+    # a bidegree below every half dimension breaks only the lower bound,
+    # one above every half dimension only the upper bound
+    monkeypatch.setattr("weylcoh.suites._RANK3_SYSTEMS", [("A", 2)])
+    monkeypatch.setattr("weylcoh.suites.bidegree", lambda w, Q: length)
+    (c,) = [
+        c for c in run_suite("basic-lemma").checks
+        if c.name.startswith("basic-lemma/bidegree-bounds ")
+    ]
+    assert c.passed is False
+    assert c.got.split(", e.g. ")[1].startswith(f"('{bound}', ")

@@ -180,7 +180,7 @@ def test_every_intermediate_cone_is_a_module():
     # profiles and seeded rank-4 cutoff maps
     maps = [
         (index_set, dict(zip(subsets(index_set)[:-1], cuts)))
-        for index_set, cuts, _ in _ms_thread_profiles()
+        for index_set, cuts in _ms_thread_profiles()
     ]
     rng = random.Random(4)
     maps += [
