@@ -27,7 +27,7 @@ from .roots import (
     dim_nilradical,
     parabolic,
 )
-from .snf import qq_rank
+from .snf import snf_divisors
 from .threads import (
     FAMILIES,
     thread_attaching_rank,
@@ -192,8 +192,8 @@ class RealFormOracle:
         ]
         if not perp:
             return 0
-        return len(perp) + qq_rank(
-            [{j: x for j, x in enumerate(r) if x} for r in perp]
+        return len(perp) + len(
+            snf_divisors([{j: x for j, x in enumerate(r) if x} for r in perp])
         )
 
 

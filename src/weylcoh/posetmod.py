@@ -515,7 +515,7 @@ def attaching_map_rank(
             for lbl, x in zip(b1[deg], vec):
                 if x:
                     rows[pos2[lbl]][n + k] = x
-        rank = snf.qq_rank(rows) - snf.qq_rank(boundaries)
+        rank = len(snf.snf_divisors(rows)) - len(snf.snf_divisors(boundaries))
         if rank:
             out[deg] = rank
     return out

@@ -92,15 +92,21 @@ def kappa_zeta(datum: SatakeDatum, psi) -> tuple[frozenset, frozenset]:
 
 
 def p_dagger(datum: SatakeDatum, P: Parabolic) -> Parabolic:
-    """The largest parabolic above P with the same weight-connected part."""
+    """The largest parabolic above P with the same weight-connected part.
+
+    A restricted root leaves kappa(P) unchanged exactly when it is off the
+    weight's support and not adjacent to kappa(P); such roots never chain
+    into kappa together, so P-dagger adds all of them.
+    """
     kappa, _ = kappa_zeta(datum, P.levi)
-    best = P.levi
-    for extra in subsets(P.restricted_indices):
-        levi = P.levi | extra
-        k2, _ = kappa_zeta(datum, levi)
-        if k2 == kappa and len(levi) > len(best):
-            best = levi
-    return parabolic(datum.system, best)
+    sys = datum.system
+    extra = {
+        i
+        for i in P.restricted_indices
+        if i not in datum.mu_support
+        and not any(_adjacent(sys, i, j) for j in kappa)
+    }
+    return parabolic(sys, P.levi | extra)
 
 
 def is_saturated(datum: SatakeDatum, P: Parabolic) -> bool:

@@ -3,10 +3,10 @@
 Everything here is exact: no floating point is used anywhere in the
 package.  A matrix is held as its rows, each a dict column -> nonzero
 entry: the form in which chain complexes store their differentials, and
-the one `snf_divisors` (int entries) and `qq_rank` (int or Fraction
-entries) take.  Only `echelon` and `solve` work on dense matrices,
-sequences of row sequences over int or Fraction.  The integer kernel
-lattice, with coordinates, is `posetmod.integer_kernel`.
+the one `snf_divisors` takes (int entries).  A rank is the number of
+divisors.  Only `echelon` and `solve` work on dense matrices, sequences of
+row sequences over int or Fraction.  The integer kernel lattice, with
+coordinates, is `posetmod.integer_kernel`.
 """
 
 from __future__ import annotations
@@ -113,12 +113,6 @@ def _unit_reduce(mat: Rows) -> tuple[int, list[list]]:
         units += 1
     keep = sorted(j for j, rs in cols.items() if rs)
     return units, [[row.get(j, 0) for j in keep] for row in rows.values() if row]
-
-
-def qq_rank(mat: Rows) -> int:
-    """Rank over the rationals: unit pivots, then fraction-free elimination."""
-    units, rest = _unit_reduce(mat)
-    return units + len(echelon(rest)[1])
 
 
 def solve(a: Matrix, b: Matrix) -> tuple[tuple[Fraction, ...], ...] | None:

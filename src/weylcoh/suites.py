@@ -255,35 +255,33 @@ def _is_first_config_marks(marks: dict, indices) -> bool:
     return False
 
 
-def _first_config_from_cutoffs(cut: dict, indices) -> bool:
+def _first_config_from_cutoffs(cut: dict, indices):
     """Cutoff-only classifier for the facets-and-edge-star picture.
 
     Backed by the rank-3 value table: once all facets are cut, a pair face
     carries its class in degree 1 and a vertex in degree 2, so the cut
     decisions are sign tests on the shifted cutoffs.
+
+    The cutoffs may be ints, giving a bool, or equal-length numpy integer
+    arrays, giving a bool array with one verdict per position: the test is
+    written with comparisons, ``&`` and ``|`` only.
     """
     indices = tuple(indices)
     full = frozenset(indices)
-    if any(cut[full - {v}] >= 0 for v in indices):
-        return False
-    if cut[frozenset()] < 2:
-        return False
+    facets = True
     for v in indices:
-        if cut[frozenset({v})] < 2:
-            continue
-        if any(cut[frozenset({u})] < 1 for u in indices if u != v):
-            continue
-        star_ok = all(
-            cut[frozenset({u, v})] <= 0 for u in indices if u != v
-        )
-        far_ok = all(
-            cut[frozenset({a, b})] >= 1
-            for a, b in itertools.combinations(indices, 2)
-            if v not in (a, b)
-        )
-        if star_ok and far_ok:
-            return True
-    return False
+        facets = facets & (cut[full - {v}] < 0)
+    apex = False
+    for v in indices:
+        ok = cut[frozenset({v})] >= 2
+        for u in indices:
+            if u != v:
+                ok = ok & (cut[frozenset({u})] >= 1) & (cut[frozenset({u, v})] <= 0)
+        for a, b in itertools.combinations(indices, 2):
+            if v not in (a, b):
+                ok = ok & (cut[frozenset({a, b})] >= 1)
+        apex = apex | ok
+    return (cut[frozenset()] >= 2) & facets & apex
 
 
 def _suite_footnote(rec: _Recorder, **_):
@@ -410,7 +408,13 @@ def _sp20_element_from_window(sys, kwin):
 
 
 def _sp20_cutoffs_from_window(kwin, roots, faces, pvals, facemat):
-    counts = [0] * 16
+    """Face cutoffs {"m"|"n": {face: cutoff}} of the K-window kwin.
+
+    The ten window entries may be ints or equal-length numpy integer
+    columns, one window per position; the counts start from kwin[0] * 0,
+    so columns keep their dtype.
+    """
+    counts = [kwin[0] * 0] * 16
     for typ, a, b, mi in roots:
         if typ == "d":
             invb = kwin[a - 1] > kwin[b - 1]
@@ -418,8 +422,7 @@ def _sp20_cutoffs_from_window(kwin, roots, faces, pvals, facemat):
             invb = kwin[a - 1] + kwin[b - 1] > 21
         else:
             invb = kwin[a - 1] > 10
-        if invb:
-            counts[mi] += 1
+        counts[mi] = counts[mi] + invb
     out = {}
     for kind in ("m", "n"):
         cut = {}
@@ -493,37 +496,6 @@ def _suite_footnote_exhaustive(rec: _Recorder, progress=None, checkpoint=None):
     part = np.array(parts, dtype=np.int16)
     npart = len(parts)
 
-    fmat = np.array(facemat, dtype=np.int32)
-    pvec = {k: np.array(pvals[k], dtype=np.int32) for k in ("m", "n")}
-    face_idx = {f: i for i, f in enumerate(faces)}
-    tri_cols = [face_idx[frozenset(range(4)) - {v}] for v in range(4)]
-    base_col = face_idx[frozenset()]
-    sing_cols = [face_idx[frozenset({v})] for v in range(4)]
-    pair_cols = {
-        (a, b): face_idx[frozenset({a, b})]
-        for a, b in itertools.combinations(range(4), 2)
-    }
-
-    def classify(cut):
-        ok = np.ones(len(cut), dtype=bool)
-        for c in tri_cols:
-            ok &= cut[:, c] < 0
-        ok &= cut[:, base_col] >= 2
-        anyv = np.zeros(len(cut), dtype=bool)
-        for v in range(4):
-            cond = cut[:, sing_cols[v]] >= 2
-            for u in range(4):
-                if u == v:
-                    continue
-                cond &= cut[:, sing_cols[u]] >= 1
-                cond &= cut[:, pair_cols[tuple(sorted((u, v)))]] <= 0
-            for a, b in itertools.combinations(range(4), 2):
-                if v in (a, b):
-                    continue
-                cond &= cut[:, pair_cols[(a, b)]] >= 1
-            anyv |= cond
-        return ok & anyv
-
     chunk = 32
     nchunks = 1024 // chunk
     state = {"chunk": 0, "count": {"m": 0, "n": 0}, "matches": {"m": [], "n": []}}
@@ -548,20 +520,12 @@ def _suite_footnote_exhaustive(rec: _Recorder, progress=None, checkpoint=None):
         Kwin = np.concatenate(
             [s if s.shape[2] == 1 else np.sort(s, axis=2) for s in segs], axis=2
         )
-        counts = np.zeros((chunk, npart, 16), dtype=np.int32)
-        for typ, a, b, mi in roots:
-            if typ == "d":
-                invb = Kwin[:, :, a - 1] > Kwin[:, :, b - 1]
-            elif typ == "s":
-                invb = Kwin[:, :, a - 1] + Kwin[:, :, b - 1] > 21
-            else:
-                invb = Kwin[:, :, a - 1] > 10
-            counts[:, :, mi] += invb
-        lface = counts.reshape(-1, 16) @ fmat.T  # (chunk*npart, 15)
+        cuts = _sp20_cutoffs_from_window(
+            [Kwin[:, :, k].ravel() for k in range(10)], roots, faces, pvals, facemat
+        )
         flat = Kwin.reshape(-1, 10)
         for kind in ("m", "n"):
-            cut = pvec[kind][None, :] - lface
-            hit = classify(cut)
+            hit = _first_config_from_cutoffs(cuts[kind], range(4))
             state["count"][kind] += int(hit.sum())
             for row in flat[hit]:
                 state["matches"][kind].append([int(x) for x in row])

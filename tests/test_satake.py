@@ -77,6 +77,32 @@ def test_p_dagger_idempotent_and_monotone():
         assert k1 == k2
 
 
+def _p_dagger_by_search(datum, P):
+    # the largest Levi above P's whose weight-connected part is P's
+    kappa, _ = kappa_zeta(datum, P.levi)
+    best = P.levi
+    for extra in subsets(P.restricted_indices):
+        levi = P.levi | extra
+        if kappa_zeta(datum, levi)[0] == kappa and len(levi) > len(best):
+            best = levi
+    return best
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank",
+    [("A", n) for n in range(1, 7)] + [(t, n) for t in "BC" for n in range(2, 7)],
+)
+def test_p_dagger_rule_matches_search(cartan_type, rank):
+    sys = build_root_system(cartan_type, rank)
+    for support in subsets(range(rank)):
+        if not support:
+            continue
+        datum = SatakeDatum(sys, frozenset(support))
+        for levi in subsets(range(rank)):
+            P = parabolic(sys, levi)
+            assert p_dagger(datum, P).levi == _p_dagger_by_search(datum, P)
+
+
 def test_saturated_are_maximal_plus_full():
     for rank in (2, 3, 4):
         sys = build_root_system("C", rank)

@@ -7,7 +7,6 @@ minors are checked against a dense Smith loop with no unit-pivot phase.
 
 import itertools
 import math
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,9 +32,10 @@ def test_divisors_of_singular_matrix():
 
 
 def test_qq_rank_basics():
-    assert snf.qq_rank(_rows(((1, 2), (2, 4)))) == 1
-    assert snf.qq_rank(_rows(((1, 0, 0), (0, 0, 1)))) == 2
-    assert snf.qq_rank(_rows(())) == 0
+    """The rational rank of an integer matrix is its number of divisors."""
+    assert snf.snf_divisors(_rows(((1, 2), (2, 4)))) == [1]
+    assert snf.snf_divisors(_rows(((1, 0, 0), (0, 0, 1)))) == [1, 1]
+    assert snf.snf_divisors(_rows(())) == []
 
 
 def _matrices(entries, square=False, max_dim=5):
@@ -92,7 +92,7 @@ def _rank(mat):
 @settings(max_examples=150, deadline=None)
 def test_divisor_chain_and_rank(mat):
     divs = snf.snf_divisors(_rows(mat))
-    assert len(divs) == snf.qq_rank(_rows(mat))
+    assert len(divs) == _rank(mat)
     assert all(d > 0 for d in divs)
     for a, b in zip(divs, divs[1:]):
         assert b % a == 0
@@ -121,12 +121,6 @@ def test_divisor_product_is_determinant(mat):
         assert math.prod(divs) == abs(det)
     else:
         assert len(divs) < len(mat)
-
-
-@given(qq_matrices)
-@settings(max_examples=150, deadline=None)
-def test_qq_rank_is_largest_nonzero_minor(mat):
-    assert snf.qq_rank(_rows(mat)) == _rank(mat)
 
 
 def _dense_divisors(mat):
@@ -180,7 +174,7 @@ sparse_entries = st.sampled_from((0, 0, 0, 0, 1, -1, 1, -1, 2, -2))
 def test_divisors_match_dense_smith_on_sparse_matrices(mat):
     divs = _dense_divisors(mat)
     assert snf.snf_divisors(_rows(mat)) == divs
-    assert snf.qq_rank(_rows(mat)) == len(divs)
+    assert len(divs) == len(snf.echelon(mat)[1])
 
 
 @given(_matrices(st.sampled_from((0, 0, 2, -2, 3, 4, -6))))
@@ -207,18 +201,6 @@ def test_divisors_of_unit_block_glued_to_even_block(units, even, rnd):
     rnd.shuffle(perm)
     mat = tuple(tuple(row[j] for j in perm) for row in mat)
     assert snf.snf_divisors(_rows(mat)) == _dense_divisors(mat)
-
-
-unit_rationals = st.one_of(
-    st.sampled_from((Fraction(0), Fraction(1), Fraction(-1))),
-    st.fractions(min_value=-5, max_value=5, max_denominator=6),
-)
-
-
-@given(_matrices(unit_rationals))
-@settings(max_examples=150, deadline=None)
-def test_qq_rank_pivots_on_fraction_units(mat):
-    assert snf.qq_rank(_rows(mat)) == _rank(mat)
 
 
 @given(qq_matrices)

@@ -1,16 +1,26 @@
 """Suite registry plumbing: results, serialization, and error handling."""
 
 import json
+import random
 
 import pytest
 
+from weylcoh.roots import is_min_coset_rep
 from weylcoh.suites import (
+    _SP20_BLOCKS,
     DEFAULT_SUITES,
     SUITES,
     UnknownSuiteError,
+    _first_config_from_cutoffs,
     _Recorder,
+    _sp20_cutoffs_from_window,
+    _sp20_element,
+    _sp20_element_from_window,
+    _sp20_face_data,
+    _sp20_window_of,
     run_suite,
 )
+from weylcoh.threads import ic_cutoffs
 
 
 def test_registry_shape():
@@ -115,3 +125,48 @@ def test_basic_lemma_violation_names_its_bound(monkeypatch, length, bound):
     ]
     assert c.passed is False
     assert c.got.split(", e.g. ")[1].startswith(f"('{bound}', ")
+
+
+def _block_sorted_windows(rng, count):
+    """Random K-windows with each restricted block sorted, as enumerated."""
+    windows = []
+    for _ in range(count):
+        kw = [k if rng.random() < 0.5 else 21 - k for k in rng.sample(range(1, 11), 10)]
+        for lo, hi in _SP20_BLOCKS:
+            kw[lo:hi] = sorted(kw[lo:hi])
+        windows.append(tuple(kw))
+    return windows
+
+
+def test_sp20_window_routines_agree_on_ints_and_int16_columns():
+    # the exhaustive enumeration runs these routines on numpy columns; the
+    # spot validation and the footnote suite run them on ints
+    np = pytest.importorskip("numpy")
+    sys, P, w = _sp20_element()
+    rest, _, roots, faces, pvals, facemat = _sp20_face_data(P)
+    windows = [_sp20_window_of(w)] + _block_sorted_windows(random.Random(24), 300)
+    per_window = [
+        _sp20_cutoffs_from_window(kw, roots, faces, pvals, facemat) for kw in windows
+    ]
+    cols = [np.array(col, dtype=np.int16) for col in zip(*windows)]
+    columns = _sp20_cutoffs_from_window(cols, roots, faces, pvals, facemat)
+    for kind in ("m", "n"):
+        for f in faces:
+            assert columns[kind][f].dtype == np.int16
+            assert columns[kind][f].tolist() == [c[kind][f] for c in per_window]
+        verdicts = _first_config_from_cutoffs(columns[kind], range(4))
+        assert verdicts.tolist() == [
+            _first_config_from_cutoffs(c[kind], range(4)) for c in per_window
+        ]
+    for kw, cuts in list(zip(windows, per_window))[:4]:
+        elt = _sp20_element_from_window(sys, kw)
+        assert is_min_coset_rep(elt, P)
+        for kind in ("m", "n"):
+            engine = {
+                frozenset(rest.index(i) for i in a): v
+                for a, v in ic_cutoffs(P, elt, kind).items()
+            }
+            assert engine == cuts[kind]
+    footnote = per_window[0]
+    assert _first_config_from_cutoffs(footnote["n"], range(4)) is True
+    assert _first_config_from_cutoffs(footnote["m"], range(4)) is False
