@@ -12,17 +12,20 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .kostant import is_self_contragredient, kostant_decomposition
 from .microsupport import micro_support
-from .posetmod import ic_module, local_complex, subsets
+from .posetmod import all_or_nothing, subsets
 from .roots import (
     InvalidTypeError,
     build_root_system,
+    check_type,
     codim_and_perversity,
     dim_nilradical,
     parabolic,
@@ -37,7 +40,6 @@ from .satake import (
 )
 from .suites import DEFAULT_SUITES, SUITES, UnknownSuiteError, run_suite
 from .threads import PROFILES
-from math import inf
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -75,17 +77,21 @@ def _parse_lambda(text: str, rank: int) -> tuple:
     return coords
 
 
-def _check_class_count(system, levis) -> None:
-    """Refuse, before enumerating, more than MAX_CLASSES classes in all.
-
-    Each Levi L contributes |W| / |W_L| minimal coset representatives.
-    """
-    order = weyl_group_order(system, range(system.rank))
-    count = sum(order // weyl_group_order(system, levi) for levi in levis)
-    if count > MAX_CLASSES:
-        raise UsageError(
-            f"{count} Kostant classes to enumerate, above the limit of {MAX_CLASSES}"
-        )
+def _check_class_count(args, levis) -> None:
+    """Refuse more than MAX_CLASSES classes in all, before the root system
+    is built: each Levi L adds |W| / |W_L|, and the sum stops once past."""
+    check_type(args.type, args.rank)
+    # the type and the rank are all that weyl_group_order reads
+    shape = SimpleNamespace(cartan_type=args.type, rank=args.rank)
+    order = weyl_group_order(shape, range(args.rank))
+    count = 0
+    for levi in levis:
+        count += order // weyl_group_order(shape, levi)
+        if count > MAX_CLASSES:
+            raise UsageError(
+                f"at least {count} Kostant classes to enumerate, "
+                f"above the limit of {MAX_CLASSES}"
+            )
 
 
 def _face_name(a) -> str:
@@ -164,8 +170,8 @@ def cmd_roots(args, out) -> int:
 
 
 def cmd_kostant(args, out) -> int:
+    _check_class_count(args, [args.levi])
     system = build_root_system(args.type, args.rank)
-    _check_class_count(system, [args.levi])
     P = parabolic(system, args.levi)
     rows = []
     for c in kostant_decomposition(args.lam, P):
@@ -205,8 +211,12 @@ def cmd_microsupport(args, out) -> int:
         raise UsageError("the ic family needs --perversity m|n")
     if args.family == "wc" and not args.weight_profile:
         raise UsageError("the wc family needs --weight-profile mu|nu")
+    # every Levi, lazily and in subsets order: the Borel comes first
+    idx = range(args.rank)
+    _check_class_count(args, (
+        c for k in range(args.rank + 1) for c in itertools.combinations(idx, k)
+    ))
     system = build_root_system(args.type, args.rank)
-    _check_class_count(system, subsets(range(system.rank)))
     entries = micro_support(
         args.family,
         args.lam,
@@ -281,15 +291,9 @@ def cmd_simplex(args, out) -> int:
             if not verts or not all(0 <= i < n for i in verts):
                 raise UsageError(f"bad face token {tok!r}")
             marked.add(frozenset(verts))
-    full = frozenset(range(n))
-    if full in marked:
+    if frozenset(range(n)) in marked:
         raise UsageError("the open face cannot be cut")
-    cutoffs = {
-        a: (-inf if a in marked else inf) for a in subsets(range(n)) if a != full
-    }
-    mod = ic_module(tuple(range(n)), cutoffs)
-    cx, _ = local_complex(mod, frozenset())
-    h = cx.cohomology()
+    h = all_or_nothing(n, marked)
     rows = [
         [d, h.free_rank(d), ",".join(str(t) for t in h.torsion(d)) or "-"]
         for d in h.degrees()
@@ -367,7 +371,7 @@ def cmd_verify(args, out) -> int:
         try:
             with open(args.checkpoint) as fh:
                 json.load(fh)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"unreadable checkpoint {args.checkpoint!r}: {exc}")
     progress = (
         (lambda s: print(s, file=sys.stderr, flush=True))

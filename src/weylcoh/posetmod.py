@@ -295,21 +295,15 @@ def integer_kernel(
     return basis, [tuple(row) for row in vinv[r:]]
 
 
-def truncate_at(module: PosetModule, a: Face, cutoff) -> PosetModule:
+def _cone(module: PosetModule, a: Face, cutoff):
     """Kill the local cohomology at the face a above the cutoff degree.
 
     Forms the mapping cone of the adjunction from the module to the pushed
-    forward truncated local complex, shifted down by one.  +inf returns the
-    module unchanged; -inf kills the local cohomology at a entirely.  The
-    cone is returned as built, with its contractible pairs.
+    forward truncated local complex, shifted down by one.  -inf kills the
+    local cohomology at a entirely.  Returns the cone's (pieces, diff) as
+    built, unchecked and with its contractible pairs, or None when the
+    module stays as it is (at +inf, or with no local complex at a).
     """
-    cone = _cone(module, Face(a), cutoff)
-    return module if cone is None else PosetModule(module.index_set, *cone)
-
-
-def _cone(module: PosetModule, a: Face, cutoff):
-    """The (pieces, diff) of truncate_at's cone, unchecked; None when the
-    truncation leaves the module as it is."""
     if a == module.index_set:
         raise ValueError("the open face is never truncated")
     if cutoff == inf:
@@ -480,6 +474,16 @@ def _successive_truncation(
         if cone is not None:
             module = _cancel_units(module.index_set, *cone)
     return module
+
+
+def all_or_nothing(n: int, marked) -> GradedAbelian:
+    """Base-face local cohomology of the profile on n indices that cuts the
+    marked faces entirely (cutoff -inf) and keeps the rest (+inf)."""
+    idx = tuple(range(n))
+    marked = {frozenset(a) for a in marked}
+    cutoffs = {a: -inf if a in marked else inf for a in subsets(idx)[:-1]}
+    cx, _ = local_complex(ic_module(idx, cutoffs), frozenset())
+    return cx.cohomology()
 
 
 def supported_local_cohomology(module: PosetModule, a: Face) -> GradedAbelian:

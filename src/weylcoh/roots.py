@@ -3,17 +3,19 @@
 Roots and weights are carried in simple-root coordinates.  Everything is
 derived from the integer Gram matrix of the simple roots and from the
 Cartan matrix: the positive roots, rho, the fundamental weights and the
-Levi splits that project a weight onto a Levi root span.  The standard
-orthonormal-coordinate realization of types A, B and C is kept only as the
-output edge (simple_roots, from_simple_coords, simple_coords and
-WeylElement.apply).  A Weyl element is carried as the permutation it induces
-on the roots (Casselman, "Machine calculations in Weyl groups", 1994):
-products, inverses, lengths, inversion sets and descents are index tests,
-and the integer action matrix is derived from the images of the simple
-roots only where a vector is acted on.  Reduced words are recovered on
-demand.  Inversion sets and the positive roots of each Levi (cached per
-(system, Levi)) are int bitmasks over the positive roots, so nilradical
-dimensions and bidegrees are popcounts.
+Levi splits that project a weight onto a Levi root span.  The weights and
+the splits come from one small inverse over Q (`_invert`), the only
+rational elimination in the package.  The standard orthonormal-coordinate
+realization of types A, B and C is kept only as the output edge
+(simple_roots, from_simple_coords, simple_coords and WeylElement.apply).
+A Weyl element is carried as the permutation it induces on the roots
+(Casselman, "Machine calculations in Weyl groups", 1994): products,
+inverses, lengths, inversion sets and descents are index tests, and the
+integer action matrix is derived from the images of the simple roots only
+where a vector is acted on.  Reduced words are recovered on demand.
+Inversion sets and the positive roots of each Levi (cached per (system,
+Levi)) are int bitmasks over the positive roots, so nilradical dimensions
+and bidegrees are popcounts.
 
 All groups are treated as split over Q: rational, real and complex roots
 coincide and the restricted simple roots of a parabolic are in bijection with
@@ -27,8 +29,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Iterator, Optional
-
-from .snf import solve
 
 Vec = tuple[Fraction, ...]
 
@@ -64,6 +64,12 @@ class InvalidTypeError(ValueError):
     pass
 
 
+def check_type(cartan_type: str, rank: int) -> None:
+    """Raise InvalidTypeError unless (type, rank) names a root system."""
+    if cartan_type not in _VALID_RANKS or not _VALID_RANKS[cartan_type](rank):
+        raise InvalidTypeError(f"invalid type/rank pair ({cartan_type!r}, {rank})")
+
+
 class RootSystem:
     """A finite irreducible root system of type A, B or C with exact data.
 
@@ -78,10 +84,7 @@ class RootSystem:
 
     def __init__(self, cartan_type: str, rank: int):
         cartan_type = cartan_type.upper()
-        if cartan_type not in _VALID_RANKS or not _VALID_RANKS[cartan_type](rank):
-            raise InvalidTypeError(
-                f"invalid type/rank pair ({cartan_type!r}, {rank})"
-            )
+        check_type(cartan_type, rank)
         self.cartan_type = cartan_type
         self.rank = rank
         self.simple_roots, self.ambient_dim = _simple_root_vectors(cartan_type, rank)
@@ -247,8 +250,23 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
 
 
 def _invert(mat) -> tuple[tuple[Fraction, ...], ...]:
+    """The inverse over Q by Gauss-Jordan; ValueError when mat is singular."""
     n = len(mat)
-    return solve(mat, [[int(i == j) for j in range(n)] for i in range(n)])
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(mat)
+    ]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        prow = rows[col] = [x / p for x in rows[col]]
+        for i, row in enumerate(rows):
+            if (f := row[col]) and i != col:
+                rows[i] = [x - f * y if y else x for x, y in zip(row, prow)]
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -542,8 +560,9 @@ def levi_split(system: RootSystem, levi: frozenset[int]):
     g = system.gram
     lev = sorted(levi)
     rest = [i for i in range(system.rank) if i not in levi]
-    m = solve([[g[a][b] for b in lev] for a in lev],
-              [[g[a][b] for b in rest] for a in lev])
+    cols = [[g[l][c] for l in lev] for c in rest]
+    inv = _invert([[g[a][b] for b in lev] for a in lev])
+    m = tuple(tuple(_dot(row, col) for col in cols) for row in inv)
     s = tuple(
         tuple(
             g[r][c] - sum((g[r][l] * row[k] for l, row in zip(lev, m)), Fraction(0))

@@ -1,60 +1,19 @@
-"""Exact integer and rational linear algebra.
+"""Sparse integer Smith normal form: the exact kernel of the package.
 
-Everything here is exact: no floating point is used anywhere in the
-package.  A matrix is held as its rows, each a dict column -> nonzero
-entry: the form in which chain complexes store their differentials, and
-the one `snf_divisors` takes (int entries).  A rank is the number of
-divisors.  Only `echelon` and `solve` work on dense matrices, sequences of
-row sequences over int or Fraction.  The integer kernel lattice, with
-coordinates, is `posetmod.integer_kernel`.
+No floating point and no rational arithmetic is used here.  A matrix is
+held as its rows, each a dict column -> nonzero int entry: the form in
+which chain complexes store their differentials.  `snf_divisors` gives
+the nonzero Smith divisors, so a rank is the number of divisors;
+`_pivot` and `_unit_reduce` eliminate on +-1 entries first.  The integer
+kernel lattice, with coordinates, is `posetmod.integer_kernel`; the
+rational inverses of the root data live in `roots`.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-Matrix = Sequence[Sequence[int]]
 Rows = Sequence[dict]
-
-
-def echelon(mat: Iterable[Sequence]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968).
-
-    Entries may be int or Fraction; each row is first scaled to integers by
-    the lcm of its denominators.  Returns (rows, pivots, d) with
-    rows == d * RREF(mat) as integer rows, pivots the pivot columns in
-    order, and d the last pivot (1 when there is none).  Every division in
-    the elimination is exact.
-    """
-    rows = []
-    for row in mat:
-        # a set, not one argument per entry: argument tuples as long as a
-        # row fill the interpreter's tuple free lists and raise peak memory
-        den = math.lcm(*{x.denominator for x in row})
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    d = 1
-    for col in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[col]
-        for i in range(nrows):
-            f = rows[i][col]
-            if i != r and (f or p != d):
-                rows[i] = [(p * x - f * y) // d for x, y in zip(rows[i], prow)]
-        pivots.append(col)
-        d = p
-    return rows, pivots, d
 
 
 def _pivot(rows: dict, cols: dict, pi, pj) -> None:
@@ -113,22 +72,6 @@ def _unit_reduce(mat: Rows) -> tuple[int, list[list]]:
         units += 1
     keep = sorted(j for j, rs in cols.items() if rs)
     return units, [[row.get(j, 0) for j in keep] for row in rows.values() if row]
-
-
-def solve(a: Matrix, b: Matrix) -> tuple[tuple[Fraction, ...], ...] | None:
-    """The X with a @ X == b, or None when b lies outside the column span of a.
-
-    X is unique when a has full column rank; otherwise the unknowns at free
-    columns are set to 0.
-    """
-    n = len(a[0]) if a else 0
-    rows, pivots, d = echelon([*ra, *rb] for ra, rb in zip(a, b))
-    if pivots and pivots[-1] >= n:
-        return None
-    x = [(Fraction(0),) * (len(rows[0]) - n)] * n if rows else []
-    for row, pc in zip(rows, pivots):
-        x[pc] = tuple(Fraction(v, d) for v in row[n:])
-    return tuple(x)
 
 
 def snf_divisors(mat: Rows) -> list[int]:

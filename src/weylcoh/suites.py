@@ -30,6 +30,7 @@ from .microsupport import (
     micro_support,
 )
 from .posetmod import (
+    all_or_nothing,
     fary_E1_page,
     fary_abutment_ranks,
     ic_module,
@@ -139,19 +140,6 @@ class _Recorder:
 # -- truncation-profile helpers -------------------------------------------
 
 
-def _aon_value(n: int, marked) -> str:
-    """Base-face local cohomology of the all-or-nothing profile on n indices."""
-    idx = tuple(range(n))
-    full = frozenset(idx)
-    marked = {frozenset(a) for a in marked}
-    cutoffs = {
-        a: (-inf if a in marked else inf) for a in subsets(idx) if a != full
-    }
-    mod = ic_module(idx, cutoffs)
-    cx, _ = local_complex(mod, frozenset())
-    return str(cx.cohomology())
-
-
 def _fs(*xs) -> frozenset:
     return frozenset(xs)
 
@@ -193,7 +181,7 @@ def _suite_rank2(rec: _Recorder, **_):
         ("both-dots", {_fs(0), _fs(1)}, "Z[-1]"),
     ]
     for name, marked, expected in table:
-        rec.add(f"rank2/{name}", "PAPER", expected, _aon_value(2, marked))
+        rec.add(f"rank2/{name}", "PAPER", expected, all_or_nothing(2, marked))
 
 
 def _suite_rank3(rec: _Recorder, **_):
@@ -202,7 +190,7 @@ def _suite_rank3(rec: _Recorder, **_):
         values = set()
         for p in perms:
             image = {frozenset(p[i] for i in a) for a in marked}
-            values.add(_aon_value(3, image))
+            values.add(str(all_or_nothing(3, image)))
         got = values.pop() if len(values) == 1 else f"inconsistent: {sorted(values)}"
         rec.add(f"rank3/{name} (all relabelings)", "PAPER", expected, got)
 
@@ -222,7 +210,7 @@ def _rank4_profiles():
 
 def _suite_rank4(rec: _Recorder, **_):
     for name, marked, expected, tag in _rank4_profiles():
-        rec.add(f"rank4/{name}", tag, expected, _aon_value(4, marked))
+        rec.add(f"rank4/{name}", tag, expected, all_or_nothing(4, marked))
 
 
 # -- Sp20 footnote ---------------------------------------------------------

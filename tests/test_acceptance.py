@@ -20,11 +20,10 @@ from math import floor, inf
 
 import pytest
 
-from weylcoh.posetmod import ic_module, local_complex, subsets
+from weylcoh.posetmod import all_or_nothing, ic_module, local_complex, subsets
 from weylcoh.suites import (
     _SP20_LEVI,
     _SP20_WORD,
-    _aon_value,
     _is_first_config_marks,
     _sp20_element,
     run_suite,
@@ -159,7 +158,7 @@ def _oracle_marks(cut):
 
 def _verdict(marks):
     """The text of a first-configuration check for the given cut faces."""
-    value = "0" if frozenset() in marks else _aon_value(4, marks)
+    value = "0" if frozenset() in marks else str(all_or_nothing(4, marks))
     realized = value == _SP20_LINK and _is_first_config_marks(
         {f: f in marks for f in _SP20_FACES}, range(4)
     )

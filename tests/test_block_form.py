@@ -11,7 +11,7 @@ every face set the engine uses, basis labels, rows and entry order alike
 import random
 from math import inf
 
-from test_posetmod import CUT_VALUES, _face_sets, unreduced_ic_module
+from test_posetmod import CUT_VALUES, _face_sets, truncated, unreduced_ic_module
 
 from weylcoh.posetmod import (
     ChainComplex,
@@ -19,7 +19,6 @@ from weylcoh.posetmod import (
     integer_kernel,
     subsets,
     total_complex,
-    truncate_at,
 )
 
 class BlockModule:
@@ -191,7 +190,7 @@ def test_total_complex_matches_block_form():
         a, t = rng.choice(subsets(idx)[:-1]), rng.choice(CUT_VALUES)
         pairs = [
             (rows, blocks),
-            (truncate_at(rows, a, t), block_truncate_at(blocks, a, t)),
+            (truncated(rows, a, t), block_truncate_at(blocks, a, t)),
         ]
         for rows, blocks in pairs:
             assert rows.pieces == blocks.pieces

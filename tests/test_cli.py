@@ -159,13 +159,14 @@ def test_bad_input_is_a_usage_error(capsys, argv):
 
 
 def test_corrupt_checkpoint_is_a_usage_error(capsys, tmp_path):
-    bad = tmp_path / "checkpoint.json"
-    bad.write_text("{not json")
-    code, _, err = run(
-        capsys, "verify", "footnote-sp20-exhaustive", "--checkpoint", str(bad)
-    )
-    assert code == 2
-    assert "checkpoint" in err
+    corrupt = tmp_path / "checkpoint.json"
+    corrupt.write_text("{not json")
+    for bad in (corrupt, tmp_path):  # a file that is not json, a directory
+        code, _, err = run(
+            capsys, "verify", "footnote-sp20-exhaustive", "--checkpoint", str(bad)
+        )
+        assert code == 2
+        assert "checkpoint" in err
 
 
 def test_engine_error_is_not_a_usage_error(monkeypatch):
@@ -197,13 +198,20 @@ def test_kostant_mu_column_is_pinned(capsys):
     )
 
 
+def _refuse_root_system(*args):
+    raise AssertionError("a root system was built before the class count")
+
+
 @pytest.mark.parametrize("command,count", [
     # C10 with an empty Levi has 2^10 10! classes
     (("kostant",), 3_715_891_200),
-    # every Levi of C10, the empty one included
-    (("microsupport", "--family", "pushforward"), 148_070_287_697),
+    # the Borel comes first among the Levis and alone passes the limit
+    (("microsupport", "--family", "pushforward"), 3_715_891_200),
 ])
-def test_enumeration_too_large_is_refused_at_once(capsys, command, count):
+def test_enumeration_too_large_is_refused_at_once(
+    monkeypatch, capsys, command, count
+):
+    monkeypatch.setattr("weylcoh.cli.build_root_system", _refuse_root_system)
     start = time.perf_counter()
     code, out, err = run(
         capsys, *command, "--type", "C", "--rank", "10", "--lambda", "0" + ",0" * 9,
@@ -211,8 +219,32 @@ def test_enumeration_too_large_is_refused_at_once(capsys, command, count):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err == (
-        f"error: {count} Kostant classes to enumerate, above the limit of 1000000\n"
+        f"error: at least {count} Kostant classes to enumerate, "
+        "above the limit of 1000000\n"
     )
+
+
+def test_class_count_stops_once_past_the_limit(monkeypatch, capsys):
+    # C3 has 147 classes over its eight Levis: 48 at the Borel, then 24 at
+    # {a1}, so a limit of 50 is passed at the second Levi
+    monkeypatch.setattr("weylcoh.cli.MAX_CLASSES", 50)
+    monkeypatch.setattr("weylcoh.cli.build_root_system", _refuse_root_system)
+    code, out, err = run(
+        capsys, "microsupport", "--family", "pushforward",
+        "--type", "C", "--rank", "3", "--lambda", "0,0,0",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: at least 72 Kostant classes to enumerate, above the limit of 50\n"
+    )
+
+
+def test_invalid_type_is_reported_before_the_class_count(capsys):
+    code, out, err = run(
+        capsys, "kostant", "--type", "D", "--rank", "12", "--lambda", "0" + ",0" * 11,
+    )
+    assert code == 2 and out == ""
+    assert err == "error: invalid type/rank pair ('D', 12)\n"
 
 
 def test_type_letter_is_case_insensitive(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_roots import exact_solve
 
 from weylcoh.kostant import (
     bracketing_parabolics,
@@ -25,7 +26,6 @@ from weylcoh.roots import (
     longest_levi_element,
     parabolic,
 )
-from weylcoh.snf import solve
 from weylcoh.threads import PROFILES, face_parabolic, wc_keep
 
 
@@ -181,7 +181,7 @@ def _ref_levi_projection(sys, v, levi):
     if not basis:
         return (Fraction(0),) * sys.ambient_dim
     gram = [[_dot(a, b) for b in basis] for a in basis]
-    coeffs = solve(gram, [[_dot(v, a)] for a in basis])
+    coeffs = exact_solve(gram, [[_dot(v, a)] for a in basis])
     return _combine([c for (c,) in coeffs], basis, sys.ambient_dim)
 
 
@@ -198,7 +198,7 @@ def _ref_restricted_coords(sys, levi, v):
         for i in idx
     ]
     gram = [[_dot(a, b) for b in basis] for a in basis]
-    coords = solve(gram, [[_dot(a, v)] for a in basis])
+    coords = exact_solve(gram, [[_dot(a, v)] for a in basis])
     return {i: c for i, (c,) in zip(idx, coords)}
 
 
@@ -212,7 +212,7 @@ def _ref_weights(sys):
     roots, n = sys.simple_roots, sys.rank
     mat = [[2 * _dot(roots[j], roots[k]) / _dot(roots[k], roots[k])
             for j in range(n)] for k in range(n)]
-    inv = solve(mat, [[int(i == j) for j in range(n)] for i in range(n)])
+    inv = exact_solve(mat, [[int(i == j) for j in range(n)] for i in range(n)])
     return [
         _combine([inv[j][i] for j in range(n)], roots, sys.ambient_dim)
         for i in range(n)

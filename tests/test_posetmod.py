@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_snf import _rows, sparse_entries
 
-from weylcoh import snf
+from weylcoh import roots
 from weylcoh.posetmod import (
     ChainComplex,
     GradedAbelian,
     PosetModule,
+    _cone,
     attaching_map_rank,
     face_key,
     fary_E1_page,
@@ -28,7 +29,6 @@ from weylcoh.posetmod import (
     subsets,
     supported_local_cohomology,
     total_complex,
-    truncate_at,
 )
 from weylcoh.roots import build_root_system, enumerate_min_coset_reps, parabolic
 from weylcoh.threads import ic_cutoffs
@@ -244,7 +244,7 @@ def test_differential_must_point_up_the_poset():
 def test_open_face_never_truncated():
     m = pushforward_module(range(2))
     with pytest.raises(ValueError):
-        truncate_at(m, frozenset({0, 1}), 0)
+        truncated(m, frozenset({0, 1}), 0)
 
 
 def test_cut_both_vertices():
@@ -260,12 +260,18 @@ def test_cut_one_vertex():
     assert _local(m, frozenset()).is_zero
 
 
+def truncated(module, a, cutoff):
+    """One truncation step at the face a, its cone as built and checked."""
+    cone = _cone(module, frozenset(a), cutoff)
+    return module if cone is None else PosetModule(module.index_set, *cone)
+
+
 def unreduced_ic_module(index_set, cutoffs):
     """ic_module without the unit cancellation: the pushforward, then the
-    cone of truncate_at at every proper face in decreasing face order."""
+    truncation cone at every proper face in decreasing face order."""
     module = pushforward_module(index_set)
     for a in sorted(cutoffs, key=face_key, reverse=True):
-        module = truncate_at(module, a, cutoffs[a])
+        module = truncated(module, a, cutoffs[a])
     return module
 
 
@@ -296,7 +302,7 @@ def test_truncation_contract(params):
     module = _random_ic(rng, n)
     a = rng.choice([b for b in subsets(range(n)) if b != frozenset(range(n))])
     before = _local(module, a)
-    after = _local(truncate_at(module, a, t), a)
+    after = _local(truncated(module, a, t), a)
     for d in set(before.degrees()) | set(after.degrees()):
         if d <= t:
             assert after.free_rank(d) == before.free_rank(d)
@@ -515,12 +521,12 @@ def test_module_condition_rejects_unit_changes(data):
 
 def test_posetmod_never_solves_over_the_rationals(monkeypatch):
     # truncation, supported local cohomology and attaching ranks stay in
-    # integer arithmetic: none of them reaches the rational solve
+    # integer arithmetic: none of them reaches the rational inverse
     def refuse(*args):
-        raise AssertionError("a posetmod routine called snf.solve")
+        raise AssertionError("a posetmod routine called roots._invert")
 
-    monkeypatch.setattr(snf, "solve", refuse)
     P = parabolic(build_root_system("C", 3), ())
+    monkeypatch.setattr(roots, "_invert", refuse)
     faces = subsets(P.restricted_indices)
     for w in enumerate_min_coset_reps(P):
         for kind in ("m", "n"):

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_snf import qq_echelon
 
 from weylcoh import roots
 from weylcoh.kostant import kostant_decomposition
@@ -24,7 +25,6 @@ from weylcoh.roots import (
     parabolic,
     weyl_group_order,
 )
-from weylcoh.snf import solve
 from weylcoh.threads import wc_keep
 
 POSITIVE_COUNTS = {
@@ -35,6 +35,24 @@ POSITIVE_COUNTS = {
     ("C", 3): 9,
     ("C", 10): 100,
 }
+
+
+def exact_solve(a, b):
+    """The X with a @ X == b, for a nonsingular square a over Q.
+
+    The test-local reference for the rational inverses of roots: a row
+    echelon form of [a | b], then back substitution.
+    """
+    n, width = len(a), len(b[0]) if b else 0
+    rows, _ = qq_echelon([(*ra, *rb) for ra, rb in zip(a, b)])
+    x = [()] * n
+    for i in reversed(range(n)):
+        x[i] = tuple(
+            (rows[i][n + k] - sum(rows[i][j] * x[j][k] for j in range(i + 1, n)))
+            / rows[i][i]
+            for k in range(width)
+        )
+    return tuple(x)
 
 
 @pytest.mark.parametrize("typ,rank", sorted(POSITIVE_COUNTS))
@@ -48,6 +66,32 @@ def test_invalid_type_rejected():
     for typ, rank in [("Z", 2), ("C", 0), ("D", 4), ("E", 6), ("G", 2)]:
         with pytest.raises(InvalidTypeError):
             build_root_system(typ, rank)
+
+
+@pytest.mark.parametrize("typ,low", [("A", 1), ("B", 2), ("C", 2)])
+def test_rational_inverses_match_reference_solver(typ, low):
+    # the Gram and Cartan inverses, and M = G_LL^-1 G_LR of every Levi
+    for rank in range(low, 7):
+        sys = build_root_system(typ, rank)
+        g, ident = sys.gram, _mat_identity(rank)
+        assert sys._gram_inv == exact_solve(g, ident)
+        assert sys._cartan_inv == exact_solve(sys.cartan, ident)
+        for levi in subsets(range(rank)):
+            lev = sorted(levi)
+            rest = [i for i in range(rank) if i not in levi]
+            m, _ = roots.levi_split(sys, levi)
+            assert m == exact_solve(
+                [[g[a][b] for b in lev] for a in lev],
+                [[g[a][b] for b in rest] for a in lev],
+            )
+
+
+@pytest.mark.parametrize(
+    "mat", [((0, 0), (0, 0)), ((1, 2), (2, 4)), ((1, 2, 3), (4, 5, 6), (7, 8, 9))]
+)
+def test_singular_matrix_has_no_inverse(mat):
+    with pytest.raises(ValueError):
+        roots._invert(mat)
 
 
 def test_rho_has_positive_simple_coords():
@@ -249,7 +293,7 @@ def _mat_mul(a, b):
 
 def _mat_inverse(m):
     n = len(m)
-    inv = solve(m, [[int(i == j) for j in range(n)] for i in range(n)])
+    inv = exact_solve(m, _mat_identity(n))
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 
@@ -378,9 +422,9 @@ def test_weyl_elements_never_eliminate(monkeypatch, rank):
     lam = sys.weight_from_fundamental((1,) + (0,) * (rank - 1))
 
     def refuse(*args):
-        raise AssertionError("a Weyl-element routine called snf.solve")
+        raise AssertionError("a Weyl-element routine called roots._invert")
 
-    monkeypatch.setattr(roots, "solve", refuse)
+    monkeypatch.setattr(roots, "_invert", refuse)
     P = parabolic(sys, ())
     for w in enumerate_min_coset_reps(P):
         assert w * w.inverse() == sys.identity_element()

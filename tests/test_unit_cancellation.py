@@ -2,7 +2,7 @@
 
 ic_module cancels every +-1 entry of the differential whose row and column
 lie at one face after each truncation step.  These tests hold the reduced
-modules to the unreduced ones of the plain truncate_at loop, keep torsion
+modules to the unreduced ones of the plain truncation loop, keep torsion
 behind unit entries, and check every intermediate cone, which the fused
 loop builds without a check.
 """
