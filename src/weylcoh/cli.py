@@ -43,7 +43,8 @@ from .threads import PROFILES
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
-# most Kostant classes a kostant or microsupport call will enumerate
+# most Kostant classes a kostant or microsupport call will enumerate, and
+# most Levis a roots or satake call will list
 MAX_CLASSES = 10**6
 
 
@@ -94,6 +95,21 @@ def _check_class_count(args, levis) -> None:
             )
 
 
+def _levi_rows(args) -> list:
+    """The --levi Levi alone, or all 2^rank Levis; more than MAX_CLASSES of
+    them are refused before the root system is built."""
+    if args.levi is not None:
+        return [args.levi]
+    check_type(args.type, args.rank)
+    # 2^rank > MAX_CLASSES, without computing 2^rank
+    if args.rank >= MAX_CLASSES.bit_length():
+        raise UsageError(
+            f"2^{args.rank} Levis to list, above the limit of {MAX_CLASSES}; "
+            "give --levi"
+        )
+    return subsets(range(args.rank))
+
+
 def _face_name(a) -> str:
     return "-" if not a else "".join(f"a{i + 1}" for i in sorted(a))
 
@@ -136,9 +152,10 @@ def _emit(doc: dict, fmt: str, out):
 
 
 def cmd_roots(args, out) -> int:
+    levis = _levi_rows(args)
     system = build_root_system(args.type, args.rank)
     rows = []
-    for levi in [args.levi] if args.levi else subsets(range(args.rank)):
+    for levi in levis:
         P = parabolic(system, levi)
         if P.is_full:
             codim = pm = pn = "-"
@@ -320,6 +337,7 @@ def cmd_simplex(args, out) -> int:
 
 
 def cmd_satake(args, out) -> int:
+    levis = _levi_rows(args)
     system = build_root_system(args.type, args.rank)
     if not args.mu_support:
         if system.cartan_type != "C":
@@ -330,7 +348,7 @@ def cmd_satake(args, out) -> int:
     else:
         datum = SatakeDatum(system, args.mu_support)
     rows = []
-    for levi in [args.levi] if args.levi else subsets(range(args.rank)):
+    for levi in levis:
         P = parabolic(system, levi)
         kappa, zeta = kappa_zeta(datum, levi)
         dag = p_dagger(datum, P)
@@ -483,7 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if hasattr(args, "levi"):
+        # an absent --levi of roots or satake stays None: list every Levi
+        if getattr(args, "levi", None) is not None:
             args.levi = (
                 _parse_indices(args.levi, args.rank) if args.levi else frozenset()
             )

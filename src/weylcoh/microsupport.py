@@ -32,7 +32,7 @@ from .threads import (
     FAMILIES,
     thread_attaching_rank,
     thread_key,
-    thread_local_cohomology,
+    thread_window,
 )
 
 
@@ -78,13 +78,7 @@ def _entry_for_class(
     a_lo = frozenset(q_lo.levi - P.levi)
     a_hi = frozenset(q_hi.levi - P.levi)
     key = thread_key(family, P, c.w, kind=kind, profile=profile, lam=c.lam)
-    window = []
-    for a in subsets(sorted(a_hi)):
-        if not a_lo <= a:
-            continue
-        g = thread_local_cohomology(key, a)
-        if not g.is_zero:
-            window.append((a, g.shifted(c.degree)))
+    window = thread_window(key, a_lo, a_hi, c.degree)
     if not window:
         return None
     degs = [d for _, g in window for d in g.degrees()]
@@ -100,7 +94,7 @@ def _entry_for_class(
         cls=c,
         q_lo=q_lo,
         q_hi=q_hi,
-        window=tuple(window),
+        window=window,
         c=min(degs),
         d=max(degs),
         essential=bool(ranks),

@@ -7,7 +7,7 @@ Levi splits that project a weight onto a Levi root span.  The weights and
 the splits come from one small inverse over Q (`_invert`), the only
 rational elimination in the package.  The standard orthonormal-coordinate
 realization of types A, B and C is kept only as the output edge
-(simple_roots, from_simple_coords, simple_coords and WeylElement.apply).
+(simple_roots and from_simple_coords).
 A Weyl element is carried as the permutation it induces on the roots
 (Casselman, "Machine calculations in Weyl groups", 1994): products,
 inverses, lengths, inversion sets and descents are index tests, and the
@@ -92,7 +92,6 @@ class RootSystem:
             tuple(int(_dot(a, b)) for b in self.simple_roots)
             for a in self.simple_roots
         )
-        self._gram_inv = _invert(self.gram)
         g = self.gram
         self.cartan = tuple(
             tuple(2 * g[i][j] // g[j][j] for j in range(rank)) for i in range(rank)
@@ -183,15 +182,6 @@ class RootSystem:
         )
 
     # -- the standard realization (output edge) -----------------------------
-
-    def simple_coords(self, v: Vec) -> Vec:
-        """Coefficients of the root-span part of ambient v in the simple basis."""
-        rhs = tuple(_dot(v, a) for a in self.simple_roots)
-        return tuple(
-            sum((self._gram_inv[i][j] * rhs[j] for j in range(self.rank)),
-                Fraction(0))
-            for i in range(self.rank)
-        )
 
     def from_simple_coords(self, coords) -> Vec:
         """The ambient vector with the given simple-root coordinates."""
@@ -312,14 +302,6 @@ class WeylElement:
         return tuple(
             sum(m * c for m, c in zip(row, coords)) for row in self.matrix
         )
-
-    def apply(self, v: Vec) -> Vec:
-        """Action on an ambient vector (fixes the orthogonal complement)."""
-        sys = self.system
-        coords = sys.simple_coords(v)
-        span = sys.from_simple_coords(coords)
-        img = sys.from_simple_coords(self.apply_coords(coords))
-        return tuple(x - y + z for x, y, z in zip(v, span, img))
 
     def is_identity(self) -> bool:
         return all(self.perm[s] == s for s in self.system.simple_indices)

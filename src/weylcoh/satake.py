@@ -32,7 +32,7 @@ from .roots import (
     factorize,
     parabolic,
 )
-from .threads import thread_key, thread_local_cohomology
+from .threads import thread_key, thread_window
 
 
 @dataclass(frozen=True)
@@ -222,23 +222,13 @@ def _fiber_entries(
             q_lo, q_hi = bracketing_parabolics(c)
             s_lo = frozenset(q_lo.levi - P.levi) & a_R
             s_hi = frozenset(q_hi.levi - P.levi) & a_R
-            faces = [s for s in subsets(sorted(s_hi)) if s_lo <= s]
-            for entries, extra, k in (
-                (star, collapsed, 0),
-                (shriek, frozenset(), shift),
-            ):
-                window = []
-                for s in faces:
-                    g = thread_local_cohomology(key, s | extra)
-                    if not g.is_zero:
-                        window.append((s, g.shifted(c.degree + k)))
+            for entries, extra, k in ((star, collapsed, 0), (shriek, Face(), shift)):
+                window = thread_window(key, s_lo, s_hi, c.degree + k, extra)
                 if not window:
                     continue
                 degs = [d for _, g in window for d in g.degrees()]
                 entries.append(
-                    FiberEntry(
-                        cls=c, window=tuple(window), c=min(degs), d=max(degs)
-                    )
+                    FiberEntry(cls=c, window=window, c=min(degs), d=max(degs))
                 )
     return star, shriek
 

@@ -169,6 +169,18 @@ def thread_local_cohomology(key: tuple, a: Face) -> GradedAbelian:
     return supported_local_cohomology(_thread_module(key), a)
 
 
+def thread_window(key: tuple, lo: Face, hi: Face, shift: int, extra=frozenset()):
+    """The nonzero supported cohomology at a | extra, shifted by shift, for
+    each face lo <= a <= hi in subsets order."""
+    window = []
+    for a in subsets(hi):
+        if lo <= a:
+            g = thread_local_cohomology(key, a | extra)
+            if not g.is_zero:
+                window.append((a, g.shifted(shift)))
+    return tuple(window)
+
+
 @lru_cache(maxsize=None)
 def _attaching_items(key, a1, a2):
     return tuple(attaching_map_rank(_thread_module(key), a1, a2).items())

@@ -239,6 +239,26 @@ def test_class_count_stops_once_past_the_limit(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["roots", "satake"])
+def test_levi_listing_past_the_limit_is_refused(monkeypatch, capsys, command):
+    # C3 has 2^3 = 8 Levis: a limit of 8 lists them all, a limit of 7
+    # refuses them before the root system is built, and one --levi row, the
+    # Borel's included, is never refused
+    group = ("--type", "C", "--rank", "3", "--format", "tsv")
+    monkeypatch.setattr("weylcoh.cli.MAX_CLASSES", 8)
+    code, out, _ = run(capsys, command, *group)
+    assert code == 0 and len(out.splitlines()) == 1 + 8
+    monkeypatch.setattr("weylcoh.cli.MAX_CLASSES", 7)
+    for levi, name in (("1", "a1"), ("", "-")):
+        code, out, _ = run(capsys, command, *group, "--levi", levi)
+        (row,) = out.splitlines()[1:]
+        assert code == 0 and row.split("\t")[0] == name
+    monkeypatch.setattr("weylcoh.cli.build_root_system", _refuse_root_system)
+    code, out, err = run(capsys, command, *group)
+    assert code == 2 and out == ""
+    assert err == "error: 2^3 Levis to list, above the limit of 7; give --levi\n"
+
+
 def test_invalid_type_is_reported_before_the_class_count(capsys):
     code, out, err = run(
         capsys, "kostant", "--type", "D", "--rank", "12", "--lambda", "0" + ",0" * 11,

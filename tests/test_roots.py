@@ -70,12 +70,11 @@ def test_invalid_type_rejected():
 
 @pytest.mark.parametrize("typ,low", [("A", 1), ("B", 2), ("C", 2)])
 def test_rational_inverses_match_reference_solver(typ, low):
-    # the Gram and Cartan inverses, and M = G_LL^-1 G_LR of every Levi
+    # the Cartan inverse, and M = G_LL^-1 G_LR of every Levi
     for rank in range(low, 7):
         sys = build_root_system(typ, rank)
-        g, ident = sys.gram, _mat_identity(rank)
-        assert sys._gram_inv == exact_solve(g, ident)
-        assert sys._cartan_inv == exact_solve(sys.cartan, ident)
+        g = sys.gram
+        assert sys._cartan_inv == exact_solve(sys.cartan, _mat_identity(rank))
         for levi in subsets(range(rank)):
             lev = sorted(levi)
             rest = [i for i in range(rank) if i not in levi]

@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from weylcoh.roots import is_min_coset_rep
+from weylcoh import posetmod
+from weylcoh.roots import build_root_system, is_min_coset_rep, parabolic
 from weylcoh.suites import (
     _SP20_BLOCKS,
     DEFAULT_SUITES,
     SUITES,
     UnknownSuiteError,
+    _aon_failures,
     _first_config_from_cutoffs,
     _Recorder,
     _sp20_cutoffs_from_window,
@@ -20,7 +22,7 @@ from weylcoh.suites import (
     _sp20_window_of,
     run_suite,
 )
-from weylcoh.threads import ic_cutoffs
+from weylcoh.threads import ic_cutoffs, thread_key
 
 
 def test_registry_shape():
@@ -94,6 +96,35 @@ def test_thread_caches_leave_suite_checks_unchanged(clear_thread_caches):
     # again without clearing: each run follows runs of the other suites
     warm = {name: checks(name) for name in names}
     assert warm == cold
+
+
+def test_thread_suites_build_each_profile_once(monkeypatch):
+    # 264 distinct profiles among deligne's 2,128 threads, 230 among
+    # order-invariance's 672 (two orders each) and allornothing's 1,088
+    # (the exact module and one per all-or-nothing rule)
+    built = []
+    real = posetmod.pushforward_module
+
+    def counting(index_set):
+        built.append(index_set)
+        return real(index_set)
+
+    # every truncation starts from the pushforward
+    monkeypatch.setattr(posetmod, "pushforward_module", counting)
+    counts = {}
+    for name in ("deligne", "order-invariance", "allornothing"):
+        start = len(built)
+        assert run_suite(name).passed
+        counts[name] = len(built) - start
+    assert counts == {"deligne": 264, "order-invariance": 460, "allornothing": 690}
+
+
+def test_sign_rule_negative_control():
+    # the first thread the allornothing suite reports: cutting where the
+    # cutoff is negative changes it, cutting where truncation bites does not
+    sys = build_root_system("C", 3)
+    key = thread_key("ic", parabolic(sys, ()), sys.from_word((2, 0, 1, 2)), kind="m")
+    assert _aon_failures(key) == ("sign",)
 
 
 def test_none_passes_when_no_counterexample_is_found():

@@ -4,7 +4,7 @@ from math import inf
 
 import pytest
 
-from weylcoh.posetmod import subsets
+from weylcoh.posetmod import subsets, supported_local_cohomology
 from weylcoh.roots import build_root_system, parabolic
 from weylcoh.threads import (
     build_thread,
@@ -12,6 +12,7 @@ from weylcoh.threads import (
     ic_cutoffs,
     ic_module_with_marks,
     thread_key,
+    thread_window,
     wc_cutoffs,
     wc_keep,
 )
@@ -97,6 +98,30 @@ def test_build_thread_pushforward_shape():
     m = build_thread(thread_key("pushforward", P, sys.identity_element()))
     assert m.faces() == [frozenset({0, 1})]
     assert m.rank(frozenset({0, 1}), 0) == 1
+
+
+@pytest.mark.parametrize(
+    "lo,hi,extra,faces",
+    [
+        ((), (0, 1, 2), (), [(1,)]),
+        ((), (0, 2), (1,), [()]),
+        ((0,), (0, 1, 2), (), []),
+    ],
+    ids=["shriek", "star", "shriek-above-lo"],
+)
+def test_thread_window_reads_the_module(lo, hi, extra, faces):
+    # the thread's supported cohomology is nonzero at the face {1} alone
+    sys = build_root_system("C", 3)
+    key = thread_key("ic", parabolic(sys, ()), sys.from_word((2, 0, 1, 2)), kind="m")
+    module = build_thread(key)
+    lo, hi, extra = frozenset(lo), frozenset(hi), frozenset(extra)
+    groups = [
+        (a, supported_local_cohomology(module, a | extra))
+        for a in subsets(hi) if lo <= a
+    ]
+    want = tuple((a, g.shifted(5)) for a, g in groups if not g.is_zero)
+    assert [tuple(sorted(a)) for a, _ in want] == faces
+    assert thread_window(key, lo, hi, 5, extra) == want
 
 
 def test_marks_respect_infinite_cutoffs():
