@@ -77,7 +77,7 @@ def _entry_for_class(
     q_lo, q_hi = bracketing_parabolics(c)
     a_lo = frozenset(q_lo.levi - P.levi)
     a_hi = frozenset(q_hi.levi - P.levi)
-    key = thread_key(family, P, c.w, kind=kind, profile=profile, lam=c.lam)
+    key = thread_key(family, c, kind=kind, profile=profile)
     window = thread_window(key, a_lo, a_hi, c.degree)
     if not window:
         return None

@@ -215,9 +215,7 @@ def _fiber_entries(
         a_R = frozenset(P.restricted_indices) & R.levi
         collapsed = frozenset(P.restricted_indices) - R.levi
         for c in _fiber_classes(datum, tuple(lam_coords), P):
-            key = thread_key(
-                family, P, c.w, kind=kind, profile=profile, lam=c.lam
-            )
+            key = thread_key(family, c, kind=kind, profile=profile)
             # detection only counts between the bracketing faces, cut to R
             q_lo, q_hi = bracketing_parabolics(c)
             s_lo = frozenset(q_lo.levi - P.levi) & a_R

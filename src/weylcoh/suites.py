@@ -781,7 +781,7 @@ def _profile_verdicts(grid, check):
     for typ, rank, lams in grid:
         system = build_root_system(typ, rank)
         yield typ, rank, [
-            (P, c, kind, check(thread_key("ic", P, c.w, kind=kind)))
+            (P, c, kind, check(thread_key("ic", c, kind=kind)))
             for lam in lams
             for levi in subsets(range(rank))[:-1]  # the full Levi has no threads
             for P in [parabolic(system, levi)]

@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import inf
 
+from .kostant import KostantClass
 from .posetmod import (
     Face,
     GradedAbelian,
@@ -29,13 +30,10 @@ from .posetmod import (
 )
 from .roots import (
     Parabolic,
-    Vec,
     WeylElement,
     bidegree,
     codim_and_perversity,
-    factorize,
     parabolic,
-    scaled_lam_rho,
 )
 
 FAMILIES = ("pushforward", "ic", "wc")
@@ -63,13 +61,9 @@ def ic_cutoffs(P: Parabolic, w: WeylElement, kind: str) -> dict[Face, int]:
 
 
 @lru_cache(maxsize=None)
-def _face_parabolics(P: Parabolic) -> dict[Face, tuple[Parabolic, tuple]]:
-    """face -> (Q, simple roots off Q's Levi); one Q per face, for _min_rep keys."""
-    out = {}
-    for a in subsets(P.restricted_indices):
-        Q = face_parabolic(P, a)
-        out[a] = Q, Q.restricted_indices
-    return out
+def _face_parabolics(P: Parabolic) -> dict[Face, Parabolic]:
+    """proper face -> its parabolic, as the perversity cutoffs read them."""
+    return {a: face_parabolic(P, a) for a in _proper_faces(P.restricted_indices)}
 
 
 @lru_cache(maxsize=None)
@@ -77,79 +71,65 @@ def _ic_cutoff_values(P: Parabolic, w: WeylElement, kind: str) -> tuple:
     faces = _face_parabolics(P)
     values = []
     for a in _proper_faces(P.restricted_indices):
-        Q, _ = faces[a]
+        Q = faces[a]
         values.append(codim_and_perversity(Q, kind)[1] - bidegree(w, Q))
     return tuple(values)
 
 
-@lru_cache(maxsize=None)
-def _min_rep(w: WeylElement, P: Parabolic, Q: Parabolic) -> WeylElement:
-    # P is part of the key: equality of Weyl elements compares permutations only
-    return factorize(w, P, Q)[1]
+def wc_keep(c: KostantClass, a: Face, profile: str) -> bool:
+    """Whether the weight profile keeps the face a of the thread of c.
 
-
-def wc_keep(
-    P: Parabolic,
-    w: WeylElement,
-    lam: Vec,
-    a: Face,
-    profile: str,
-) -> bool:
-    """Whether the weight profile keeps the face a of the thread of w.
-
-    lam is in simple-root coordinates.  The face is kept when the central
-    character of its piece dominates the profile in the restricted-root
-    cone, i.e. when the simple-root coordinates of wQ(lambda+rho) off the
-    Levi of Q are all >= 0.  The profile 'nu' is the exact lower-middle
-    weight; 'mu' adds an infinitesimally small positive multiple of rho,
-    whose simple-root coordinates are all positive, so there the
-    coordinates must be > 0.
+    The face is kept when the central character of its piece dominates the
+    profile in the restricted-root cone: the simple-root coordinates of
+    v(lambda+rho) off the Levi of Q = face_parabolic(P, a) are all >= 0,
+    where w = u * v with v minimal for Q and u in the Weyl group of Q's
+    Levi.  A simple reflection s_i changes only the i-th simple-root
+    coordinate, so v(lambda+rho) and w(lambda+rho) agree off Q's Levi,
+    i.e. at the restricted indices of P outside a.  The test therefore
+    reads the signs of c.wlr_scaled, a positive multiple of w(lambda+rho),
+    there.  The profile 'nu' is the exact lower-middle weight; 'mu' adds an
+    infinitesimally small positive multiple of rho, whose simple-root
+    coordinates are all positive, so there the coordinates must be > 0.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown weight profile {profile!r}")
-    Q, off = _face_parabolics(P)[Face(a)]
-    if not off:
-        return True
-    lam_rho, _ = scaled_lam_rho(P.system, lam)
-    rows = _min_rep(w, P, Q).matrix
-    coords = (sum(m * c for m, c in zip(rows[i], lam_rho)) for i in off)
+    coords = (c.wlr_scaled[i] for i in c.P.restricted_indices if i not in a)
     if profile == "nu":
-        return all(c >= 0 for c in coords)
-    return all(c > 0 for c in coords)
+        return all(x >= 0 for x in coords)
+    return all(x > 0 for x in coords)
 
 
-def wc_cutoffs(
-    P: Parabolic, w: WeylElement, lam: Vec, profile: str
-) -> dict[Face, float]:
+def wc_cutoffs(c: KostantClass, profile: str) -> dict[Face, float]:
     """All-or-nothing cutoff map for the weight-truncated family."""
     return {
-        a: inf if wc_keep(P, w, lam, a, profile) else -inf
-        for a in _proper_faces(P.restricted_indices)
+        a: inf if wc_keep(c, a, profile) else -inf
+        for a in _proper_faces(c.P.restricted_indices)
     }
 
 
 def thread_key(
-    family: str, P: Parabolic, w: WeylElement, *, kind=None, profile=None,
-    lam: Vec | None = None,
+    family: str, c: KostantClass, *, kind=None, profile=None
 ) -> tuple:
-    """The cutoff profile of a thread: (index set, cutoffs).
+    """The cutoff profile of the thread of c: (index set, cutoffs).
 
     The cutoffs are those of the proper faces in subsets order; threads
     with equal profiles are equal modules.  The pushforward is the profile
-    with every cutoff +inf.
+    with every cutoff +inf; the perversity-truncated family reads (P, w),
+    the weight-truncated family the class vector.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    P = c.P
     if family == "pushforward":
         cuts = (inf,) * len(_proper_faces(P.restricted_indices))
     elif family == "ic":
         if kind not in ("m", "n"):
             raise ValueError("perversity kind must be 'm' or 'n'")
-        cuts = _ic_cutoff_values(P, w, kind)
-    elif lam is None:
-        raise ValueError("weight-truncated family needs the highest weight")
+        cuts = _ic_cutoff_values(P, c.w, kind)
+    elif profile not in PROFILES:
+        raise ValueError(f"unknown weight profile {profile!r}")
     else:
-        cuts = tuple(wc_cutoffs(P, w, lam, profile).values())
+        cuts = tuple(wc_cutoffs(c, profile).values())
     return P.restricted_indices, cuts
 
 

@@ -9,7 +9,6 @@ THREAD_CACHES = (
     threads._proper_faces,
     threads._face_parabolics,
     threads._ic_cutoff_values,
-    threads._min_rep,
     threads._thread_module,
     threads.thread_local_cohomology,
     threads._attaching_items,

@@ -1,7 +1,10 @@
 """Command-line front end: exit codes, formats, and example outputs."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -278,14 +281,30 @@ def test_type_letter_is_case_insensitive(capsys):
 DEFAULT_CHECKS = pathlib.Path(__file__).parent / "data" / "verify_default_checks.json"
 
 
-def test_default_verify_check_strings_are_pinned(capsys):
-    # every (suite, name, tag, expected, got, passed) of the default run;
-    # sp20/first-configuration-m is the one red check, so the run exits 1
-    code, out, _ = run(capsys, "verify", "--format", "json")
-    got = [
+def _check_tuples(out):
+    """Every (suite, name, tag, expected, got, passed) of a json verify run."""
+    return [
         [s["suite"], c["name"], c["tag"], c["expected"], c["got"], c["passed"]]
         for s in json.loads(out)["suites"]
         for c in s["checks"]
     ]
-    assert got == json.loads(DEFAULT_CHECKS.read_text())
+
+
+def test_default_verify_check_strings_are_pinned(capsys):
+    # sp20/first-configuration-m is the one red check, so the run exits 1
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert _check_tuples(out) == json.loads(DEFAULT_CHECKS.read_text())
     assert code == 1
+
+
+def test_default_verify_does_not_depend_on_the_hash_seed():
+    # a fresh interpreter with another string-hash seed gives the pinned run
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylcoh.cli", "verify", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert _check_tuples(proc.stdout) == json.loads(DEFAULT_CHECKS.read_text())

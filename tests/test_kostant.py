@@ -293,7 +293,7 @@ def test_coordinates_match_ambient_reference(typ):
                 for a in subsets(P.restricted_indices):
                     want = _ref_wc_keep(P, c.w, lam_rho, eps, a)
                     for profile in PROFILES:
-                        assert wc_keep(P, c.w, c.lam, a, profile) == want[profile]
+                        assert wc_keep(c, a, profile) == want[profile]
 
 
 @pytest.mark.parametrize("typ,rank", [("A", 4), ("B", 3), ("C", 4)])

@@ -186,4 +186,4 @@ def test_thread_cutoffs_match_fraction_reference(typ, rank, lams):
                 for a in faces:
                     want = _ref_wc_keep(P, c.w, c.lam, a)
                     for profile in PROFILES:
-                        assert wc_keep(P, c.w, c.lam, a, profile) == want[profile]
+                        assert wc_keep(c, a, profile) == want[profile]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_snf import qq_echelon
 
 from weylcoh import roots
-from weylcoh.kostant import kostant_decomposition
+from weylcoh.kostant import kostant_class, kostant_decomposition
 from weylcoh.posetmod import subsets
 from weylcoh.roots import (
     InvalidTypeError,
@@ -94,7 +94,8 @@ def test_singular_matrix_has_no_inverse(mat):
 
 
 def test_rho_has_positive_simple_coords():
-    # the 'mu' weight profile relies on this (threads.wc_keep)
+    # threads.wc_keep reads the 'mu' profile (a small positive multiple of
+    # rho added to 'nu') as a strict sign test; that needs rho > 0 here
     for typ, low in [("A", 1), ("B", 2), ("C", 2)]:
         for rank in range(low, 11):
             assert all(c > 0 for c in build_root_system(typ, rank).rho)
@@ -434,6 +435,6 @@ def test_weyl_elements_never_eliminate(monkeypatch, rank):
         u, v = factorize(w, P, parabolic(sys, (0, 1)))
         assert u * v == w
         for a in subsets(range(rank))[:-1]:
-            wc_keep(P, w, lam, a, "nu")
+            wc_keep(kostant_class(P, w, lam), a, "nu")
     for levi in subsets(range(rank)):
         assert kostant_decomposition((1,) + (0,) * (rank - 1), parabolic(sys, levi))

@@ -167,9 +167,7 @@ def _module_fiber_entries(datum, R, family, lam, kind, profile, shriek):
             if not fiber_self_contragredient(datum, c):
                 continue
             thread = threads.build_thread(
-                threads.thread_key(
-                    family, P, c.w, kind=kind, profile=profile, lam=c.lam
-                )
+                threads.thread_key(family, c, kind=kind, profile=profile)
             )
             restrict = shriek_oracle if shriek else star_oracle
             fiber = restrict(thread, a_R)

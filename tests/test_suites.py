@@ -6,6 +6,8 @@ import random
 import pytest
 
 from weylcoh import posetmod
+from weylcoh.kostant import kostant_class
+from weylcoh.microsupport import micro_support
 from weylcoh.roots import build_root_system, is_min_coset_rep, parabolic
 from weylcoh.suites import (
     _SP20_BLOCKS,
@@ -13,6 +15,7 @@ from weylcoh.suites import (
     SUITES,
     UnknownSuiteError,
     _aon_failures,
+    _ems_is_trivial_class,
     _first_config_from_cutoffs,
     _Recorder,
     _sp20_cutoffs_from_window,
@@ -119,11 +122,22 @@ def test_thread_suites_build_each_profile_once(monkeypatch):
     assert counts == {"deligne": 264, "order-invariance": 460, "allornothing": 690}
 
 
+@pytest.mark.parametrize("typ,rank,count", [("A", 2, 4), ("C", 2, 6), ("C", 3, 20)])
+def test_trivial_class_check_rejects_the_pushforward(typ, rank, count):
+    # negative control for ms-ic and ms-wc: the zero-extension has essential
+    # classes on proper parabolics, so emS = {E} must read false on it
+    ms = micro_support("pushforward", (0,) * rank, build_root_system(typ, rank))
+    essential = [e for e in ms if e.essential]
+    assert len(essential) == count
+    assert not _ems_is_trivial_class(essential)
+
+
 def test_sign_rule_negative_control():
     # the first thread the allornothing suite reports: cutting where the
     # cutoff is negative changes it, cutting where truncation bites does not
     sys = build_root_system("C", 3)
-    key = thread_key("ic", parabolic(sys, ()), sys.from_word((2, 0, 1, 2)), kind="m")
+    c = kostant_class(parabolic(sys, ()), sys.from_word((2, 0, 1, 2)), (0, 0, 0))
+    key = thread_key("ic", c, kind="m")
     assert _aon_failures(key) == ("sign",)
 
 

@@ -4,6 +4,7 @@ from math import inf
 
 import pytest
 
+from weylcoh.kostant import kostant_class
 from weylcoh.posetmod import subsets, supported_local_cohomology
 from weylcoh.roots import build_root_system, parabolic
 from weylcoh.threads import (
@@ -64,38 +65,48 @@ def test_wc_keep_open_face():
     lam = sys.weight_from_fundamental((0, 0))
     for w in (sys.identity_element(), sys.from_word((1, 0))):
         for profile in ("mu", "nu"):
-            assert wc_keep(P, w, lam, frozenset({0, 1}), profile)
+            assert wc_keep(kostant_class(P, w, lam), frozenset({0, 1}), profile)
 
 
 def test_wc_profile_validation():
     sys, P = _c2_setup()
     lam = sys.weight_from_fundamental((0, 0))
     with pytest.raises(ValueError):
-        wc_keep(P, sys.identity_element(), lam, frozenset(), "xi")
+        wc_keep(kostant_class(P, sys.identity_element(), lam), frozenset(), "xi")
+
+
+def test_wc_profile_validated_without_proper_faces():
+    # the full parabolic has no proper face to test the profile against
+    sys = build_root_system("C", 2)
+    c = kostant_class(parabolic(sys, (0, 1)), sys.identity_element(), (0, 0))
+    assert thread_key("wc", c, profile="nu") == ((), ())
+    with pytest.raises(ValueError):
+        thread_key("wc", c, profile="bogus")
 
 
 def test_wc_cutoffs_are_all_or_nothing():
     sys, P = _c2_setup()
     lam = sys.weight_from_fundamental((1, 1))
     for w in (sys.identity_element(), sys.from_word((0, 1, 0))):
-        cuts = wc_cutoffs(P, w, lam, "nu")
+        cuts = wc_cutoffs(kostant_class(P, w, lam), "nu")
         assert set(cuts.values()) <= {inf, -inf}
 
 
 def test_thread_key_validation():
     sys, P = _c2_setup()
-    e = sys.identity_element()
+    c = kostant_class(P, sys.identity_element(), (0, 0))
     with pytest.raises(ValueError):
-        thread_key("bogus", P, e)
+        thread_key("bogus", c)
     with pytest.raises(ValueError):
-        thread_key("ic", P, e)  # missing perversity kind
+        thread_key("ic", c)  # missing perversity kind
     with pytest.raises(ValueError):
-        thread_key("wc", P, e, profile="mu")  # missing highest weight
+        thread_key("wc", c)  # missing weight profile
 
 
 def test_build_thread_pushforward_shape():
     sys, P = _c2_setup()
-    m = build_thread(thread_key("pushforward", P, sys.identity_element()))
+    c = kostant_class(P, sys.identity_element(), (0, 0))
+    m = build_thread(thread_key("pushforward", c))
     assert m.faces() == [frozenset({0, 1})]
     assert m.rank(frozenset({0, 1}), 0) == 1
 
@@ -112,7 +123,8 @@ def test_build_thread_pushforward_shape():
 def test_thread_window_reads_the_module(lo, hi, extra, faces):
     # the thread's supported cohomology is nonzero at the face {1} alone
     sys = build_root_system("C", 3)
-    key = thread_key("ic", parabolic(sys, ()), sys.from_word((2, 0, 1, 2)), kind="m")
+    c = kostant_class(parabolic(sys, ()), sys.from_word((2, 0, 1, 2)), (0, 0, 0))
+    key = thread_key("ic", c, kind="m")
     module = build_thread(key)
     lo, hi, extra = frozenset(lo), frozenset(hi), frozenset(extra)
     groups = [

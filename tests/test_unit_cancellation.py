@@ -166,11 +166,9 @@ def _ms_thread_profiles():
             for lam in itertools.product(range(3), repeat=3):
                 for c in kostant_decomposition(lam, P):
                     for kind in ("m", "n"):
-                        keys.add(thread_key("ic", P, c.w, kind=kind))
+                        keys.add(thread_key("ic", c, kind=kind))
                     for profile in ("mu", "nu"):
-                        keys.add(
-                            thread_key("wc", P, c.w, profile=profile, lam=c.lam)
-                        )
+                        keys.add(thread_key("wc", c, profile=profile))
     return sorted(keys, key=repr)
 
 
