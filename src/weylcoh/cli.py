@@ -15,6 +15,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 import time
 from types import SimpleNamespace
@@ -56,10 +57,11 @@ def _parse_indices(text: str, rank: int) -> frozenset:
     """Simple-root list like 'a1,a3', 'α1,α3', or '1,3' (1-based)."""
     out = set()
     for tok in text.split(","):
-        tok = tok.strip().lstrip("α").lstrip("a")
-        if not tok.isdigit():
+        tok = tok.strip()
+        m = re.fullmatch(r"[aα]?([0-9]+)", tok)
+        if not m:
             raise UsageError(f"bad simple-root token {tok!r}")
-        i = int(tok)
+        i = int(m[1])
         if not 1 <= i <= rank:
             raise UsageError(f"simple-root index {i} outside 1..{rank}")
         out.add(i - 1)
@@ -301,11 +303,11 @@ def cmd_simplex(args, out) -> int:
     if args.cut:
         for tok in args.cut.split(","):
             tok = tok.strip()
-            pieces = [p for p in tok.replace("α", "a").split("a") if p]
-            if not all(p.isdigit() for p in pieces):
+            # one bare label, or labels each led by a or α: 1, a1, a1a2
+            if not re.fullmatch(r"[0-9]+|(?:[aα][0-9]+)+", tok):
                 raise UsageError(f"bad face token {tok!r}")
-            verts = {int(p) - 1 for p in pieces}
-            if not verts or not all(0 <= i < n for i in verts):
+            verts = {int(p) - 1 for p in re.findall(r"[0-9]+", tok)}
+            if not all(0 <= i < n for i in verts):
                 raise UsageError(f"bad face token {tok!r}")
             marked.add(frozenset(verts))
     if frozenset(range(n)) in marked:

@@ -11,6 +11,9 @@ complex over a set of faces is a filter-and-renumber of those rows.  The
 internal part of D at a face may be nonzero; the built families keep it
 zero on the open face.  Everything here is integer arithmetic.
 
+ic_module returns only the built module; where its truncation removed a
+class (a face's mark) is read off that module (truncation_marks).
+
 Degrees are thread-normalized: the open-face piece of a pushforward sits in
 degree 0, and consumers working over a Kostant class w convert to total
 degrees by adding l(w).
@@ -130,11 +133,6 @@ class ChainComplex:
                     if bad:
                         return deg, i, min(bad)
         return None
-
-    def check(self) -> None:
-        bad = self.dd_failure()
-        if bad:
-            raise AssertionError(f"d.d != 0 at degree {bad[0]}")
 
     def cohomology(self) -> GradedAbelian:
         # a degree with no stored differential maps by zero: no divisors
@@ -447,13 +445,6 @@ def ic_module(index_set, cutoffs: dict, order=None) -> PosetModule:
     processed in decreasing stratum dimension (decreasing subset size), with
     ties broken canonically unless an explicit linear extension is given.
     """
-    return _successive_truncation(index_set, cutoffs, order)
-
-
-def _successive_truncation(
-    index_set, cutoffs: dict, order=None, marks: dict | None = None
-) -> PosetModule:
-    """The loop behind ic_module; marks[a] tells if truncating a cut a class."""
     module = pushforward_module(index_set)
     faces = [a for a in subsets(index_set) if a != frozenset(index_set)]
     if order is None:
@@ -466,14 +457,35 @@ def _successive_truncation(
         if sizes != sorted(sizes, reverse=True):
             raise ValueError("order must be nonincreasing in stratum dimension")
     for a in order:
-        cut = cutoffs[a]
-        if marks is not None:
-            cx, _ = local_complex(module, a)
-            marks[a] = any(d > cut for d in cx.cohomology().degrees())
-        cone = _cone(module, a, cut)
+        cone = _cone(module, a, cutoffs[a])
         if cone is not None:
             module = _cancel_units(module.index_set, *cone)
     return module
+
+
+def link_cohomology(module: PosetModule, a: Face) -> GradedAbelian:
+    """Cohomology of the total complex over the faces strictly above a."""
+    a = Face(a)
+    cx, _ = total_complex(module, [b for b in module.faces() if a < b])
+    return cx.cohomology()
+
+
+def truncation_marks(module: PosetModule, cutoffs: dict) -> dict[Face, bool]:
+    """Whether truncating at each face removed a class, read off the result.
+
+    A face a is marked when its link (the faces strictly above a) has a
+    class above the cutoff at a.  The module must be the one ic_module built
+    from these cutoffs, in any order it accepts.  Then this is the local
+    cohomology at a just before its truncation: until then the module has
+    no generator at a, and no step from a on changes the link, since a step
+    at a face c adds, cancels and pivots generators at c alone, changing D
+    only between faces below and above c (see _cancel_units), and c is not
+    strictly above a.
+    """
+    return {
+        a: any(d > cut for d in link_cohomology(module, a).degrees())
+        for a, cut in cutoffs.items()
+    }
 
 
 def all_or_nothing(n: int, marked) -> GradedAbelian:

@@ -35,12 +35,13 @@ from .posetmod import (
     fary_E1_page,
     fary_abutment_ranks,
     ic_module,
+    link_cohomology,
     local_complex,
     mv_E1_page,
     mv_abutment_ranks,
     open_complement_cohomology,
     subsets,
-    total_complex,
+    truncation_marks,
 )
 from .roots import (
     bidegree,
@@ -64,7 +65,6 @@ from .threads import (
     build_thread,
     face_parabolic,
     ic_cutoffs,
-    ic_module_with_marks,
     thread_key,
 )
 
@@ -247,7 +247,8 @@ def _is_first_config_marks(marks: dict, indices) -> bool:
 def _first_config_verdict(index_set, cutoffs: dict) -> tuple[bool, str]:
     """Whether the thread realizes the facets-and-edge-star picture with
     base-face link Z[-1] + Z[-2], and that link's value."""
-    module, marks = ic_module_with_marks(index_set, cutoffs)
+    module = ic_module(index_set, cutoffs)
+    marks = truncation_marks(module, cutoffs)
     value = str(local_complex(module, frozenset())[0].cohomology())
     return _is_first_config_marks(marks, index_set) and value == "Z[-1] + Z[-2]", value
 
@@ -805,8 +806,7 @@ def _deligne_failures(key) -> tuple[list, list]:
         if any(d > cut for d in loc.degrees()):
             vanish.append(sorted(a))
             continue
-        link_faces = [b for b in thread.faces() if a < b]
-        link = total_complex(thread, link_faces)[0].cohomology()
+        link = link_cohomology(thread, a)
         lo = min(loc.degrees() + link.degrees(), default=0)
         for j in range(lo, cut + 1):
             if (loc.free_rank(j), loc.torsion(j)) != (
@@ -957,22 +957,19 @@ def _local_cohomologies(module) -> list:
 
 
 def _order_failures(key) -> tuple[bool, list]:
-    """Whether the thread of this profile, truncated in ic_module's default
-    order and with size ties broken the other way, satisfies the structure-map
-    condition both times, and the faces where the two local cohomologies differ."""
+    """Whether both builds of this profile's thread, in ic_module's default
+    order and with size ties broken the other way, pass their structure-map
+    check, and the faces where their local cohomologies differ."""
     index_set, cuts = key
     faces = subsets(index_set)[:-1]
-    m1 = build_thread(key)
     order2 = sorted(faces, key=len, reverse=True)
-    m2 = ic_module(index_set, dict(zip(faces, cuts)), order=order2)
     try:
-        m1.check_condition()
-        m2.check_condition()
-        condition = True
+        m1 = build_thread(key)
+        m2 = ic_module(index_set, dict(zip(faces, cuts)), order=order2)
     except AssertionError:
-        condition = False
+        return False, []
     pairs = zip(subsets(index_set), _local_cohomologies(m1), _local_cohomologies(m2))
-    return condition, [sorted(a) for a, h1, h2 in pairs if h1 != h2]
+    return True, [sorted(a) for a, h1, h2 in pairs if h1 != h2]
 
 
 def _suite_order_invariance(rec: _Recorder, **_):
@@ -1001,7 +998,8 @@ def _aon_failures(key) -> tuple[str, ...]:
     class, "sign" where the cutoff is negative, and both keep the rest."""
     index_set, cuts = key
     faces = subsets(index_set)[:-1]
-    exact, marks = ic_module_with_marks(index_set, dict(zip(faces, cuts)))
+    exact = build_thread(key)
+    marks = truncation_marks(exact, dict(zip(faces, cuts)))
     rules = {
         "marks": tuple(-inf if marks[a] else inf for a in faces),
         "sign": tuple(-inf if v < 0 else inf for v in cuts),

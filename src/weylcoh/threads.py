@@ -9,7 +9,9 @@ the weight-truncated family (all-or-nothing cutoffs decided by comparing
 the central character of the face against a weight profile).
 
 A thread is a value keyed by its cutoff profile (thread_key).  What
-micro-support asks of a thread is cached per process under that key.
+micro-support asks of a thread is cached per process under that key, and
+where its truncation removed classes is a read of the built module
+(posetmod.truncation_marks), not a second build.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .posetmod import (
     Face,
     GradedAbelian,
     PosetModule,
-    _successive_truncation,
     attaching_map_rank,
     ic_module,
     subsets,
@@ -99,14 +100,6 @@ def wc_keep(c: KostantClass, a: Face, profile: str) -> bool:
     return all(x > 0 for x in coords)
 
 
-def wc_cutoffs(c: KostantClass, profile: str) -> dict[Face, float]:
-    """All-or-nothing cutoff map for the weight-truncated family."""
-    return {
-        a: inf if wc_keep(c, a, profile) else -inf
-        for a in _proper_faces(c.P.restricted_indices)
-    }
-
-
 def thread_key(
     family: str, c: KostantClass, *, kind=None, profile=None
 ) -> tuple:
@@ -129,7 +122,11 @@ def thread_key(
     elif profile not in PROFILES:
         raise ValueError(f"unknown weight profile {profile!r}")
     else:
-        cuts = tuple(wc_cutoffs(c, profile).values())
+        # all or nothing: each face is kept whole or cut whole
+        cuts = tuple(
+            inf if wc_keep(c, a, profile) else -inf
+            for a in _proper_faces(P.restricted_indices)
+        )
     return P.restricted_indices, cuts
 
 
@@ -169,16 +166,3 @@ def _attaching_items(key, a1, a2):
 def thread_attaching_rank(key: tuple, a1: Face, a2: Face) -> dict[int, int]:
     """Per-degree attaching-map rank of the thread with the given profile."""
     return dict(_attaching_items(key, a1, a2))
-
-
-def ic_module_with_marks(
-    index_set, cutoffs: dict, order=None
-) -> tuple[PosetModule, dict[Face, bool]]:
-    """Successive truncation recording where it actually removes classes.
-
-    A face is marked when, at the moment of its truncation, the local
-    cohomology there has a class above the cutoff.  The marks identify the
-    dot/line picture a shifted perversity realizes.
-    """
-    marks: dict[Face, bool] = {}
-    return _successive_truncation(index_set, cutoffs, order, marks), marks

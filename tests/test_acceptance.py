@@ -20,7 +20,13 @@ from math import floor, inf
 
 import pytest
 
-from weylcoh.posetmod import all_or_nothing, ic_module, local_complex, subsets
+from weylcoh.posetmod import (
+    all_or_nothing,
+    ic_module,
+    local_complex,
+    subsets,
+    truncation_marks,
+)
 from weylcoh.suites import (
     _SP20_LEVI,
     _SP20_WORD,
@@ -28,7 +34,7 @@ from weylcoh.suites import (
     _sp20_element,
     run_suite,
 )
-from weylcoh.threads import ic_cutoffs, ic_module_with_marks
+from weylcoh.threads import ic_cutoffs
 
 
 def _assert_suite(name):
@@ -73,7 +79,7 @@ def test_c03_rank4_facets_and_edge_star():
 # support is {i, ..., j-1} for e_i - e_j and {i, ..., 10} for the others.
 # Faces are subsets of the positions 0..3 of the restricted roots a1, a3,
 # a6, a10.  The derivation calls none of ic_cutoffs, codim_and_perversity
-# and ic_module_with_marks; the tests compare it with them.
+# and truncation_marks; the tests compare it with them.
 
 _SP20_FACES = [f for f in subsets(range(4)) if f != frozenset(range(4))]
 _SP20_LINK = "Z[-1] + Z[-2]"
@@ -181,7 +187,8 @@ def test_c04_large_symplectic_word_fast_checks():
     for kind in ("m", "n"):
         cut = {f: _RATIONAL[kind](k) - l for f, (k, l) in arithmetic.items()}
         marks = _oracle_marks(cut)
-        _, engine = ic_module_with_marks(rest, ic_cutoffs(P, w, kind))
+        cuts = ic_cutoffs(P, w, kind)
+        engine = truncation_marks(ic_module(rest, cuts), cuts)
         assert marks == {
             frozenset(rest.index(i) for i in a) for a, m in engine.items() if m
         }

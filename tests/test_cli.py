@@ -161,6 +161,32 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ")
 
 
+_C2 = ("--type", "C", "--rank", "2")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("kostant", *_C2, "--levi", "aa1", "--lambda", "0,0"),
+         "bad simple-root token 'aa1'"),
+        (("kostant", *_C2, "--levi", "αa1", "--lambda", "0,0"),
+         "bad simple-root token 'αa1'"),
+        (("kostant", *_C2, "--levi", "²", "--lambda", "0,0"),
+         "bad simple-root token '²'"),
+        (("satake", *_C2, "--levi", "1", "--mu-support", "a2a"),
+         "bad simple-root token 'a2a'"),
+        (("simplex", "--rank", "2", "--cut", "1a"), "bad face token '1a'"),
+        (("simplex", "--rank", "2", "--cut", "aa1"), "bad face token 'aa1'"),
+        (("simplex", "--rank", "2", "--cut", "a²"), "bad face token 'a²'"),
+    ],
+)
+def test_malformed_root_labels_are_refused(capsys, argv, message):
+    # a label is a1, α1 or 1 in ASCII digits, and a face a run of a- or
+    # α-led labels; a superscript digit is a usage error, not a crash
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_corrupt_checkpoint_is_a_usage_error(capsys, tmp_path):
     corrupt = tmp_path / "checkpoint.json"
     corrupt.write_text("{not json")

@@ -122,6 +122,30 @@ def test_thread_suites_build_each_profile_once(monkeypatch):
     assert counts == {"deligne": 264, "order-invariance": 460, "allornothing": 690}
 
 
+def test_structure_map_condition_negative_control(monkeypatch):
+    # a cone with one entry negated breaks D.D = 0; the build's own check
+    # catches it, and the suite records the condition red instead of raising
+    real = posetmod._cone
+
+    def negated(module, a, cutoff):
+        cone = real(module, a, cutoff)
+        if cone is None:
+            return None
+        pieces, diff = cone
+        deg = max(d for d, rows in diff.items() if rows)
+        rows = diff[deg] = dict(diff[deg])  # the old rows are shared
+        lbl = next(reversed(rows))
+        (t, x), *rest = rows[lbl].items()
+        rows[lbl] = {t: -x, **dict(rest)}
+        return pieces, diff
+
+    monkeypatch.setattr(posetmod, "_cone", negated)
+    checks = {c.name: c for c in run_suite("order-invariance").checks}
+    cond = checks["order/structure-map-condition (672 threads, two orders)"]
+    assert not cond.passed
+    assert cond.got.startswith("220, e.g. ('A', (0, 1), 'm')")
+
+
 @pytest.mark.parametrize("typ,rank,count", [("A", 2, 4), ("C", 2, 6), ("C", 3, 20)])
 def test_trivial_class_check_rejects_the_pushforward(typ, rank, count):
     # negative control for ms-ic and ms-wc: the zero-extension has essential

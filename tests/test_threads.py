@@ -5,16 +5,20 @@ from math import inf
 import pytest
 
 from weylcoh.kostant import kostant_class
-from weylcoh.posetmod import subsets, supported_local_cohomology
+from weylcoh.posetmod import (
+    ic_module,
+    local_complex,
+    subsets,
+    supported_local_cohomology,
+    truncation_marks,
+)
 from weylcoh.roots import build_root_system, parabolic
 from weylcoh.threads import (
     build_thread,
     face_parabolic,
     ic_cutoffs,
-    ic_module_with_marks,
     thread_key,
     thread_window,
-    wc_cutoffs,
     wc_keep,
 )
 
@@ -88,8 +92,8 @@ def test_wc_cutoffs_are_all_or_nothing():
     sys, P = _c2_setup()
     lam = sys.weight_from_fundamental((1, 1))
     for w in (sys.identity_element(), sys.from_word((0, 1, 0))):
-        cuts = wc_cutoffs(kostant_class(P, w, lam), "nu")
-        assert set(cuts.values()) <= {inf, -inf}
+        cuts = thread_key("wc", kostant_class(P, w, lam), profile="nu")[1]
+        assert set(cuts) <= {inf, -inf}
 
 
 def test_thread_key_validation():
@@ -142,7 +146,7 @@ def test_marks_respect_infinite_cutoffs():
     cuts = {a: inf for a in subsets(idx) if a != frozenset(idx)}
     cuts[frozenset({0})] = -inf
     cuts[frozenset()] = -inf
-    module, marks = ic_module_with_marks(idx, cuts)
+    marks = truncation_marks(ic_module(idx, cuts), cuts)
     for a, cut in cuts.items():
         if cut == inf:
             assert not marks[a]
@@ -152,15 +156,13 @@ def test_marks_respect_infinite_cutoffs():
 def test_marks_match_module_values():
     # replaying the recorded marks as all-or-nothing cutoffs rebuilds the
     # same local cohomology at the base face
-    from weylcoh.posetmod import ic_module, local_complex
-
     sys, P = _c2_setup()
     for word in [(), (0,), (1, 0), (0, 1, 0), (0, 1, 0, 1)]:
         w = sys.from_word(word)
         for kind in ("m", "n"):
             cuts = ic_cutoffs(P, w, kind)
             exact = ic_module(P.restricted_indices, cuts)
-            _, marks = ic_module_with_marks(P.restricted_indices, cuts)
+            marks = truncation_marks(exact, cuts)
             aon = ic_module(
                 P.restricted_indices,
                 {a: (-inf if marks[a] else inf) for a in cuts},
@@ -178,19 +180,18 @@ def test_marks_match_module_values():
     ],
 )
 def test_bad_order_raises_with_and_without_marks(order):
-    from weylcoh.posetmod import ic_module
-
+    # marks are read off a built module, so a bad order fails the build
     idx = (0, 1)
     cuts = {a: 0 for a in subsets(idx) if a != frozenset(idx)}
     with pytest.raises(ValueError):
         ic_module(idx, cuts, order=order)
-    with pytest.raises(ValueError):
-        ic_module_with_marks(idx, cuts, order=order)
 
 
 def test_marks_follow_an_explicit_order():
+    # an explicit order builds the same module, so the same marks are read
     idx = (0, 1)
     cuts = {frozenset(): -inf, frozenset({0}): inf, frozenset({1}): -inf}
     order = [frozenset({1}), frozenset({0}), frozenset()]
-    _, marks = ic_module_with_marks(idx, cuts, order=order)
-    assert list(marks) == order
+    marks = truncation_marks(ic_module(idx, cuts, order=order), cuts)
+    assert marks == truncation_marks(ic_module(idx, cuts), cuts)
+    assert marks == {frozenset(): False, frozenset({0}): False, frozenset({1}): True}

@@ -37,7 +37,7 @@ from weylcoh.posetmod import (
     total_complex,
 )
 from weylcoh.roots import build_root_system, parabolic
-from weylcoh.threads import ic_module_with_marks, thread_key
+from weylcoh.threads import thread_key
 
 
 def _random_cutoffs(rng, n, values):
@@ -142,7 +142,6 @@ def test_no_unit_is_left_inside_a_face():
         idx = tuple(range(n))
         cuts = _random_cutoffs(rng, n, CUT_VALUES)
         assert not _face_units(ic_module(idx, cuts))
-        assert not _face_units(ic_module_with_marks(idx, cuts)[0])
 
 
 def _checked_steps(index_set, cutoffs):
